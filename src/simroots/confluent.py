@@ -82,6 +82,17 @@ def _node_rows(basis, cfg):
     return rows, plan
 
 
+def _checked_size(basis, cfg):
+    """len(basis), after checking that cfg makes the bordered block square."""
+    n1 = len(basis)
+    if cfg.total_degree + 1 != n1:
+        raise DimensionMismatch(
+            "node multiplicities sum to %d but the basis has %d functions"
+            % (cfg.total_degree, n1)
+        )
+    return n1
+
+
 def build_matrix(basis, cfg, probe, first_row_order):
     """Assemble the confluent matrix for a node configuration.
 
@@ -99,12 +110,7 @@ def build_matrix(basis, cfg, probe, first_row_order):
     -------
     ConfluentMatrix
     """
-    n1 = len(basis)
-    if cfg.total_degree + 1 != n1:
-        raise DimensionMismatch(
-            "node multiplicities sum to %d but the basis has %d functions"
-            % (cfg.total_degree, n1)
-        )
+    n1 = _checked_size(basis, cfg)
     first = [basis.eval(j, probe, first_row_order) for j in range(n1)]
     rows, plan = _node_rows(basis, cfg)
     entries = np.array([first] + rows, dtype=float)
@@ -156,12 +162,7 @@ def first_row_cofactors(basis, cfg):
     first row gives Q(x) = sum_j c_j phi_j^(p)(x), and sum_j |c_j phi_j^(p)(x)|
     is the cancellation scale of that value.
     """
-    n1 = len(basis)
-    if cfg.total_degree + 1 != n1:
-        raise DimensionMismatch(
-            "node multiplicities sum to %d but the basis has %d functions"
-            % (cfg.total_degree, n1)
-        )
+    n1 = _checked_size(basis, cfg)
     rows, _ = _node_rows(basis, cfg)
     block = np.array(rows, dtype=float)
     coeffs = np.empty(n1)
@@ -171,13 +172,54 @@ def first_row_cofactors(basis, cfg):
     return coeffs
 
 
+def _binary_exponents(a, axis):
+    """Exponents e with max |a| along axis in [2^(e-1), 2^e); 0 where zero."""
+    return np.frexp(np.max(np.abs(a), axis=axis))[1]
+
+
+def node_null_vector(basis, cfg):
+    """Null vector c of the node block and its singular value ratio.
+
+    The node block B stacks the node rows of cfg; it is n x (n+1), so its
+    null space is one-dimensional when B has full rank.  Bordering B with
+    any probe row r gives det([r; B]) = kappa (r . c) with one constant
+    kappa for the whole block, so a single factorization serves every root
+    index and every probe order on a snapshot.
+
+    B is first equilibrated by powers of two, rows and then columns, so
+    the scaling is exact and c stays a null vector of B itself: c is the
+    last right singular vector of the scaled block with the column scales
+    undone.  The returned ratio sigma_min / sigma_max of the scaled block
+    (0.0 for a zero block) says how far B is from rank deficiency, below
+    which c is an arbitrary direction rather than a null vector.  The
+    scaling keeps that ratio from reading basis functions of very
+    different magnitudes, such as exp(30 x) beside 1, as rank deficiency.
+    """
+    _checked_size(basis, cfg)
+    rows, _ = _node_rows(basis, cfg)
+    block = np.array(rows, dtype=float)
+    if not np.isfinite(block).all():
+        # expression jets overflow to inf without raising, and the SVD
+        # can fail to return at all on a non-finite entry
+        raise OverflowError("the node block has non-finite basis values")
+    block = np.ldexp(block, -_binary_exponents(block, 1)[:, None])
+    column_exponents = _binary_exponents(block, 0)
+    block = np.ldexp(block, -column_exponents)
+    _, sv, vt = np.linalg.svd(block)
+    ratio = float(sv[-1] / sv[0]) if sv[0] else 0.0
+    return np.ldexp(vt[-1], -column_exponents), ratio
+
+
 def q_value(basis, cfg, i, x):
     """Q_i at x: the confluent determinant with its first row differentiated
     alpha_i times, built on the current iterate configuration.
 
-    Evaluated by pivoted elimination of the full matrix; expanding along
-    the probe row instead loses accuracy whenever the cofactor terms
-    cancel, which they do heavily for power bases.
+    Evaluated by pivoted elimination of the full matrix.  Expanding along
+    the probe row with first_row_cofactors instead loses accuracy, because
+    each cofactor is a separately rounded minor.  The probe-row expansion
+    with node_null_vector, which the solver uses for Q_i'/Q_i, has no
+    minors and keeps the accuracy of this elimination against a 50-digit
+    oracle.
     """
     alpha = cfg.nodes[i][1]
     return determinant(build_matrix(basis, cfg, x, alpha))

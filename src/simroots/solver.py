@@ -8,10 +8,16 @@ method3   x' = x - alpha f / (f' - f Q'/((alpha+1) Q))
 method13  x' = x - f^(alpha-1) / (f^(alpha) - f^(alpha-1) Q'/(2 Q))
 ehrlich   x' = x - alpha / (f'/f - sum_{j != i} alpha_j/(x_i - x_j))
 
-Q and Q' are confluent determinants built on the current iterate snapshot;
-for a pure monomial basis the ratio Q'/((alpha+1) Q) collapses to the
-pairwise sum used by the ehrlich form, which is exposed separately as
-monomial_shortcut.
+Q and Q' are confluent determinants det([r; B]) on the current iterate
+snapshot: B is the block of node rows, shared by every root, and r is a
+probe row of basis derivatives at x_i.  Since det([r; B]) = kappa (r . c)
+for the null vector c of B, with one kappa for every probe row, the ratio
+Q'/Q is (r_{alpha+1} . c) / (r_alpha . c): one SVD of B per sweep
+(confluent.node_null_vector) serves all roots and both probe orders.  A
+rank guard stops the solve when B is numerically singular, because c is
+then an arbitrary direction.  For a pure monomial basis the ratio
+Q'/((alpha+1) Q) collapses to the pairwise sum used by the ehrlich form,
+which is exposed separately as monomial_shortcut.
 """
 
 import math
@@ -21,12 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .confluent import (
-    RootConfiguration,
-    build_matrix,
-    determinant,
-    first_row_cofactors,
-)
+from .confluent import RootConfiguration, node_null_vector
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -149,26 +150,39 @@ def monomial_shortcut(state, i, collision_threshold=1e-12):
     )
 
 
-def _q_ratio(f, cfg, i, x, factor, denominator_floor):
-    """Q'(x) / (factor * Q(x)) with a degenerate-Q guard.
+def _q_ratio(f, cfg, i, x, factor, denominator_floor, null=None):
+    """Q'(x) / (factor * Q(x)) from the null vector of the node block.
 
-    Q and Q' are pivoted determinants of the full confluent matrix.  The
-    guard compares |Q| against the summed magnitudes of its probe-row
-    cofactor expansion terms, so it fires on genuine cancellation rather
-    than on the overall magnitude of an ill-scaled node block.
+    null is node_null_vector(f.basis, cfg), built here when not given.
+    With r_p the probe row of order p at x, Q = kappa (r_alpha . c) and
+    Q' = kappa (r_{alpha+1} . c), so kappa cancels and each is one
+    compensated dot product.  Two guards raise DegenerateDenominator, and
+    neither depends on the scale of c:
+    - the rank guard, when the node block's singular value ratio is at
+      most denominator_floor: c is then no null vector, and the ratio
+      would be an arbitrary step;
+    - the cancellation guard, when |Q| is at most denominator_floor times
+      the summed term magnitudes sum_j |c_j r_j|, which fires on genuine
+      cancellation rather than on the overall magnitude of an ill-scaled
+      node block.
     """
     basis = f.basis
+    c, rank_ratio = null if null is not None else node_null_vector(basis, cfg)
+    if rank_ratio <= denominator_floor:
+        raise DegenerateDenominator(
+            "node block singular value ratio %.3e is at most %g"
+            % (rank_ratio, denominator_floor)
+        )
     alpha = cfg.nodes[i][1]
-    value_matrix = build_matrix(basis, cfg, x, alpha)
-    q = determinant(value_matrix)
-    cofactors = first_row_cofactors(basis, cfg)
-    scale = float(np.sum(np.abs(cofactors * value_matrix.entries[0])))
+    terms = c * [basis.eval(j, x, alpha) for j in range(len(c))]
+    q = math.fsum(terms)
+    scale = float(np.sum(np.abs(terms)))
     if scale == 0.0 or abs(q) <= denominator_floor * scale:
         raise DegenerateDenominator(
             "Q_%d(%g) = %.3e is negligible against its term scale %.3e"
             % (i, x, q, scale)
         )
-    qp = determinant(build_matrix(basis, cfg, x, alpha + 1))
+    qp = math.fsum(c * [basis.eval(j, x, alpha + 1) for j in range(len(c))])
     return qp / (factor * q)
 
 
@@ -195,11 +209,13 @@ def _guarded_quotient(numerator, term_a, term_b, floor, label):
     return numerator / den
 
 
-def single_correction(f, state, i, settings):
+def single_correction(f, state, i, settings, null=None):
     """Correction for root index i from the current snapshot.
 
-    Pure in all arguments, so calls for different i may run in any order
-    or concurrently and produce identical values.
+    null is the snapshot's node_null_vector, shared across a sweep; it is
+    built from the snapshot when not given.  Pure in all arguments, so
+    calls for different i may run in any order or concurrently and
+    produce identical values.
     """
     x = float(state.approximations[i])
     alpha = int(state.multiplicities[i])
@@ -213,7 +229,7 @@ def single_correction(f, state, i, settings):
         else:
             ratio = _q_ratio(
                 f, state.configuration(), i, x, alpha + 1.0,
-                settings.denominator_floor,
+                settings.denominator_floor, null,
             )
         return _guarded_quotient(
             alpha * fx, f.eval(x, 1), fx * ratio, settings.denominator_floor,
@@ -224,7 +240,8 @@ def single_correction(f, state, i, settings):
         if abs(num) <= _noise_floor(f, x, alpha - 1):
             return 0.0
         ratio = _q_ratio(
-            f, state.configuration(), i, x, 2.0, settings.denominator_floor
+            f, state.configuration(), i, x, 2.0, settings.denominator_floor,
+            null,
         )
         return _guarded_quotient(
             num, f.eval(x, alpha), num * ratio, settings.denominator_floor,
@@ -243,10 +260,21 @@ def single_correction(f, state, i, settings):
     raise InvalidConfiguration("unknown method %r" % (method,))
 
 
+def _sweep_null_vector(f, state, settings):
+    """The snapshot's node_null_vector for the determinant-ratio methods,
+    None for those that never form Q'/Q."""
+    if settings.method == "method13" or (
+            settings.method == "method3"
+            and not settings.use_monomial_shortcut):
+        return node_null_vector(f.basis, state.configuration())
+    return None
+
+
 def _compute_corrections(f, state, settings):
     _check_collisions(state.approximations, settings.collision_threshold)
+    null = _sweep_null_vector(f, state, settings)
     return np.array(
-        [single_correction(f, state, i, settings)
+        [single_correction(f, state, i, settings, null)
          for i in range(len(state.approximations))]
     )
 
@@ -259,10 +287,11 @@ def parallel_corrections(f, state, settings, max_workers=None):
     snapshot.
     """
     _check_collisions(state.approximations, settings.collision_threshold)
+    null = _sweep_null_vector(f, state, settings)
     indices = range(len(state.approximations))
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        out = list(pool.map(lambda i: single_correction(f, state, i, settings),
-                            indices))
+        out = list(pool.map(
+            lambda i: single_correction(f, state, i, settings, null), indices))
     return np.array(out)
 
 
@@ -306,8 +335,13 @@ def _with_method(settings, method):
 def _residuals_validate(f, approximations, multiplicities):
     for x, alpha in zip(approximations, multiplicities):
         for q in range(alpha):
-            limit = RESIDUAL_VALIDATION_FACTOR * (1.0 + f.term_magnitude(x, q))
-            if abs(f.eval(x, q)) > limit:
+            try:
+                limit = RESIDUAL_VALIDATION_FACTOR * (
+                    1.0 + f.term_magnitude(x, q))
+                residual = abs(f.eval(x, q))
+            except OverflowError:
+                return False
+            if residual > limit:
                 return False
     return True
 
@@ -318,7 +352,7 @@ def _final_residuals(f, approximations, multiplicities):
         for q in range(int(alpha)):
             try:
                 out.append(abs(f.eval(x, q)))
-            except DomainError:
+            except (DomainError, OverflowError):
                 out.append(math.inf)
     return out
 
@@ -369,7 +403,8 @@ def solve(f, initial, multiplicities, settings=None):
         except DegenerateDenominator:
             status = SolveStatus.degenerate_denominator
             break
-        except DomainError:
+        except (DomainError, OverflowError):
+            # an evaluation left the basis domain or the float range
             status = SolveStatus.domain_escape
             break
         state = IterationState(new, mult.copy(), state.k + 1, corrections)

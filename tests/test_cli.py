@@ -1,11 +1,14 @@
 """Batch front end: problem files, CSV tables, comparisons, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import simroots
 from simroots.cli import load_problem, main
 
 REFERENCE_PROBLEM = {
@@ -248,9 +251,14 @@ def test_load_problem_returns_the_parsed_pieces(tmp_path):
 
 def test_module_entry_point(tmp_path):
     problem = _write_problem(tmp_path, REFERENCE_PROBLEM)
+    # the child imports the same simroots as this process, installed or not
+    package_root = str(Path(simroots.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "simroots.cli", "run", str(problem),
          "--validate-only"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "valid" in result.stdout

@@ -32,7 +32,9 @@ from simroots import (
     step_method3,
     step_method13,
 )
-from simroots.basis import BasisSystem, constant, power
+from simroots.basis import BasisSystem, constant, exponential, expression, power
+from simroots.confluent import node_null_vector
+from simroots.solver import _compute_corrections
 
 REFERENCE_ROOTS = RootConfiguration(((-0.5, 2), (3.0, 2)))
 REFERENCE_INITIAL = (-0.4, 2.8)
@@ -215,6 +217,52 @@ def test_degenerate_denominator_is_reported(reference_problem):
     assert report.iterations_used == 0
 
 
+def test_rank_guard_reports_a_singular_node_block():
+    # the node rows of {1, x^2, x^4} at 1 and -1 coincide, so the node
+    # block has rank 1 and its null vector is an arbitrary direction
+    system = BasisSystem((constant(), power(2), power(4)))
+    f = GeneralizedPolynomial(system, np.array([-2.0, 1.0, 0.5]))
+    for method in ("method3", "method13"):
+        report = solve(f, (1.0, -1.0), (1, 1), SolverSettings(method=method))
+        assert report.status is SolveStatus.degenerate_denominator
+        assert report.iterations_used == 0
+
+
+def test_rank_guard_ignores_the_scale_of_a_basis_function():
+    # exp(30 x) reaches 3e19 on the nodes beside entries of order 1; the
+    # block is well posed, and the guard must not read it as singular
+    system = BasisSystem((constant(), power(1), power(2), exponential(30.0)))
+    roots = RootConfiguration(((0.5, 1), (1.0, 1), (1.5, 1)))
+    coefficients, _ = node_null_vector(system, roots)
+    f = GeneralizedPolynomial(system, coefficients)
+    for method in ("method3", "method13"):
+        report = solve(f, (0.55, 0.95, 1.45), (1, 1, 1),
+                       SolverSettings(method=method))
+        assert report.status is SolveStatus.converged
+        final = report.history[-1].approximations
+        # the rounded coefficients move the root at 1.5 by about 6e-5
+        assert final == pytest.approx(roots.locations, abs=1e-4)
+        for x in final:
+            assert abs(f.eval(x)) <= 1e-12 * f.term_magnitude(x)
+
+
+def test_overflow_lands_in_domain_escape():
+    # exp(50 x) raises OverflowError at x=20, while the expression x*x*x
+    # overflows to inf at x=1e200 without raising
+    system = BasisSystem((constant(), power(1), exponential(50.0)))
+    raising = from_roots(system, RootConfiguration(((0.0, 1), (0.01, 1))))
+    system = BasisSystem((expression("1"), expression("x*x*x"),
+                          expression("exp(-x*x)"), expression("x")))
+    infinite = GeneralizedPolynomial(system, np.array([1.0, -1.0, 0.5, 0.3]))
+    for f, initial in ((raising, (20.0, 0.3)), (infinite, (1e200, 1.0, -1.0))):
+        for method in ("method3", "method13"):
+            report = solve(f, initial, (1,) * len(initial),
+                           SolverSettings(method=method))
+            assert report.status is SolveStatus.domain_escape
+            assert report.iterations_used == 0
+            assert report.final_residuals[0] == float("inf")
+
+
 def test_domain_escape():
     system = BasisSystem((constant(), power(1), power(2)), (-1.0, 1.0))
     f = GeneralizedPolynomial(system, np.array([-4.0, 0.0, 1.0]))
@@ -309,6 +357,26 @@ def test_parallel_corrections_match_sequential(reference_problem):
     concurrent = parallel_corrections(f, state, settings)
     assert np.array_equal(sequential, reversed_order)
     assert np.array_equal(sequential, concurrent)
+
+
+@pytest.mark.parametrize("method", ["method3", "method13"])
+def test_shared_null_vector_gives_the_same_bits(reference_problem, method):
+    _, reference = reference_problem
+    monomial = from_roots(_monomials(13), RootConfiguration(
+        ((-0.8, 3), (-0.3, 3), (0.2, 2), (0.55, 2), (0.9, 2))))
+    cases = [
+        (reference, IterationState(np.array(REFERENCE_INITIAL),
+                                   np.array(REFERENCE_MULTIPLICITIES))),
+        (monomial, IterationState(np.array([-0.78, -0.33, 0.21, 0.53, 0.92]),
+                                  np.array([3, 3, 2, 2, 2]))),
+    ]
+    settings = SolverSettings(method=method)
+    for f, state in cases:
+        alone = np.array([single_correction(f, state, i, settings)
+                          for i in range(len(state.approximations))])
+        assert np.all(alone != 0.0)
+        assert np.array_equal(alone, _compute_corrections(f, state, settings))
+        assert np.array_equal(alone, parallel_corrections(f, state, settings))
 
 
 def test_settings_validation():
