@@ -343,8 +343,6 @@ class BasisFunction:
         Original expression text, kept for serialization.
     derivative_cap : int
         Highest derivative order guaranteed accurate.
-    domain : (float, float)
-        Open interval on which evaluation is defined.
     """
 
     kind: str
@@ -354,7 +352,6 @@ class BasisFunction:
     tree: tuple | None = None
     source: str | None = None
     derivative_cap: int = CATALOG_CAP
-    domain: tuple = UNBOUNDED
 
 
 def constant():
@@ -408,22 +405,18 @@ def eval_basis(b, x, p=0):
     """Evaluate the p-th derivative of a basis function at x.
 
     Closed forms are used for catalog kinds; expression kinds propagate
-    a Taylor jet of order p and read off the top coefficient.
+    a Taylor jet of order p and read off the top coefficient.  The domain
+    is the basis system's, checked by BasisSystem.eval.
 
     Raises
     ------
     OrderExceedsCap
         If p exceeds the function's derivative cap.
-    DomainError
-        If x lies outside the function's declared open interval.
     """
     if p > b.derivative_cap:
         raise OrderExceedsCap(
             "derivative order %d exceeds cap %d" % (p, b.derivative_cap)
         )
-    lo, hi = b.domain
-    if not (lo < x < hi):
-        raise DomainError("x=%g outside open interval (%g, %g)" % (x, lo, hi))
     if b.kind == "constant":
         return 1.0 if p == 0 else 0.0
     if b.kind == "power":

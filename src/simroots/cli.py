@@ -27,9 +27,14 @@ from .errors import (
     SimrootsError,
 )
 from .genpoly import GeneralizedPolynomial, from_roots
-from .solver import SolverSettings, SolveStatus, is_monomial_basis, solve
+from .solver import (
+    METHODS,
+    SolverSettings,
+    SolveStatus,
+    is_monomial_basis,
+    solve,
+)
 
-KNOWN_METHODS = ("method3", "method13", "ehrlich")
 DEFAULT_SETTINGS = {"tolerance": 1e-11, "max_iterations": 50}
 
 
@@ -51,9 +56,13 @@ def _fail(field, message):
 
 
 def _require_number(field, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(field, "expected a number, got %r" % (value,))
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass  # an integer beyond the float range
+    _fail(field, "expected a finite number, got %r" % (value,))
 
 
 def _parse_domain(raw):
@@ -179,7 +188,7 @@ def load_problem(path):
         try:
             true_roots = RootConfiguration(tuple(pairs))
             f = from_roots(system, true_roots)
-        except SimrootsError as exc:
+        except (SimrootsError, OverflowError) as exc:
             _fail("polynomial", str(exc))
         normalized_poly = {
             "roots": [{"x": x, "multiplicity": m} for x, m in pairs]
@@ -189,9 +198,9 @@ def load_problem(path):
     if not isinstance(methods, list) or not methods:
         _fail("methods", "expected a nonempty list")
     for m in methods:
-        if m not in KNOWN_METHODS:
+        if m not in METHODS:
             _fail("methods", "unknown method %r (known: %s)"
-                  % (m, ", ".join(KNOWN_METHODS)))
+                  % (m, ", ".join(METHODS)))
     if len(set(methods)) != len(methods):
         _fail("methods", "duplicate entries")
     if "ehrlich" in methods and not is_monomial_basis(system):

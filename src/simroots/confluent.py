@@ -60,26 +60,16 @@ class RootConfiguration:
 
 @dataclass(frozen=True)
 class ConfluentMatrix:
-    """Square matrix of basis derivatives plus the plan of its rows.
-
-    row_plan holds one ("probe", point, order) entry followed by
-    ("node", location, order) entries with orders 0 .. alpha_j - 1
-    inside each node block.
-    """
+    """Square matrix of basis derivatives: one probe row, then the node
+    rows of orders 0 .. alpha_j - 1 for each node in turn."""
 
     entries: np.ndarray
-    row_plan: tuple
 
 
 def _node_rows(basis, cfg):
     n1 = len(basis)
-    rows = []
-    plan = []
-    for loc, mult in cfg.nodes:
-        for q in range(mult):
-            rows.append([basis.eval(j, loc, q) for j in range(n1)])
-            plan.append(("node", loc, q))
-    return rows, plan
+    return [[basis.eval(j, loc, q) for j in range(n1)]
+            for loc, mult in cfg.nodes for q in range(mult)]
 
 
 def _checked_size(basis, cfg):
@@ -91,6 +81,21 @@ def _checked_size(basis, cfg):
             % (cfg.total_degree, n1)
         )
     return n1
+
+
+def _node_block(basis, cfg):
+    """The n x (n+1) node block of cfg as an array.
+
+    Raises DimensionMismatch unless cfg makes the bordered block square,
+    and OverflowError when a basis value is not finite: expression jets
+    overflow to inf without raising, and an SVD can fail to return at all
+    on a non-finite entry.
+    """
+    _checked_size(basis, cfg)
+    block = np.array(_node_rows(basis, cfg), dtype=float)
+    if not np.isfinite(block).all():
+        raise OverflowError("the node block has non-finite basis values")
+    return block
 
 
 def build_matrix(basis, cfg, probe, first_row_order):
@@ -112,10 +117,8 @@ def build_matrix(basis, cfg, probe, first_row_order):
     """
     n1 = _checked_size(basis, cfg)
     first = [basis.eval(j, probe, first_row_order) for j in range(n1)]
-    rows, plan = _node_rows(basis, cfg)
-    entries = np.array([first] + rows, dtype=float)
-    row_plan = tuple([("probe", float(probe), int(first_row_order))] + plan)
-    return ConfluentMatrix(entries, row_plan)
+    entries = np.array([first] + _node_rows(basis, cfg), dtype=float)
+    return ConfluentMatrix(entries)
 
 
 def determinant(matrix):
@@ -147,29 +150,31 @@ def determinant(matrix):
     return sign * float(np.prod(np.diag(a)))
 
 
-def hadamard_bound(entries):
-    """Product of row euclidean norms, an upper bound on |det|."""
-    a = np.asarray(entries, dtype=float)
-    return float(np.prod(np.linalg.norm(a, axis=1)))
-
-
 def first_row_cofactors(basis, cfg):
     """Cofactors of the probe row: c_j = (-1)^j det(node block minus column j).
 
-    The node block does not involve the probe point or the first-row order,
-    so one cofactor vector serves every root index and every derivative
-    order on a snapshot.  Expanding the confluent determinant along its
-    first row gives Q(x) = sum_j c_j phi_j^(p)(x), and sum_j |c_j phi_j^(p)(x)|
-    is the cancellation scale of that value.
+    Expanding the confluent determinant along its first row gives
+    Q(x) = sum_j c_j phi_j^(p)(x), so c is the unnormalized coefficient
+    vector of the generalized polynomial that vanishes to order alpha_j at
+    every node; from_roots normalizes it.
+
+    Raises SingularNodeSystem when the node block is numerically
+    rank-deficient, which signals a node set violating the Haar condition:
+    the minors would then form a noise vector rather than a meaningful
+    coefficient direction, so rank is judged before they are formed, by
+    the smallest-to-largest singular value ratio.  Raises OverflowError on
+    a non-finite node block.
     """
-    n1 = _checked_size(basis, cfg)
-    rows, _ = _node_rows(basis, cfg)
-    block = np.array(rows, dtype=float)
-    coeffs = np.empty(n1)
-    for j in range(n1):
-        minor = np.delete(block, j, axis=1)
-        coeffs[j] = (-1.0) ** j * determinant(minor)
-    return coeffs
+    block = _node_block(basis, cfg)
+    sv = np.linalg.svd(block, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= SINGULARITY_RELATIVE_THRESHOLD * sv[0]:
+        raise SingularNodeSystem(
+            "node block is numerically rank-deficient "
+            "(singular value ratio %.3e)"
+            % (float(sv[-1] / sv[0]) if sv[0] else 0.0)
+        )
+    return np.array([(-1.0) ** j * determinant(np.delete(block, j, axis=1))
+                     for j in range(block.shape[1])])
 
 
 def _binary_exponents(a, axis):
@@ -195,13 +200,7 @@ def node_null_vector(basis, cfg):
     scaling keeps that ratio from reading basis functions of very
     different magnitudes, such as exp(30 x) beside 1, as rank deficiency.
     """
-    _checked_size(basis, cfg)
-    rows, _ = _node_rows(basis, cfg)
-    block = np.array(rows, dtype=float)
-    if not np.isfinite(block).all():
-        # expression jets overflow to inf without raising, and the SVD
-        # can fail to return at all on a non-finite entry
-        raise OverflowError("the node block has non-finite basis values")
+    block = _node_block(basis, cfg)
     block = np.ldexp(block, -_binary_exponents(block, 1)[:, None])
     column_exponents = _binary_exponents(block, 0)
     block = np.ldexp(block, -column_exponents)
@@ -229,41 +228,3 @@ def q_derivative(basis, cfg, i, x):
     """Derivative of Q_i at x, via first-row order alpha_i + 1."""
     alpha = cfg.nodes[i][1]
     return determinant(build_matrix(basis, cfg, x, alpha + 1))
-
-
-def raw_coefficients_from_roots(basis, cfg):
-    """Unnormalized coefficients a_j = (-1)^j M_j from the node-row minors.
-
-    M_j deletes column j of the node-row block; the resulting combination
-    vanishes to order alpha_j at every node.  Raises SingularNodeSystem
-    when the node block is numerically rank-deficient, which signals a
-    node set violating the Haar condition: the minors then form a noise
-    vector rather than a meaningful coefficient direction.  Rank deficiency
-    is judged by the smallest-to-largest singular value ratio, which stays
-    honest for blocks whose entries span many orders of magnitude.
-    """
-    coeffs = first_row_cofactors(basis, cfg)
-    rows, _ = _node_rows(basis, cfg)
-    block = np.array(rows, dtype=float)
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= SINGULARITY_RELATIVE_THRESHOLD * sv[0]:
-        raise SingularNodeSystem(
-            "node block is numerically rank-deficient "
-            "(singular value ratio %.3e)"
-            % (float(sv[-1] / sv[0]) if sv[0] else 0.0)
-        )
-    return coeffs
-
-
-def coefficients_from_roots(basis, cfg, normalize=True):
-    """Coefficient vector of the generalized polynomial with the given roots.
-
-    With normalize=True (the default) the vector is scaled to unit maximum
-    magnitude.  The unnormalized vector makes Q_i at the exact nodes equal
-    f^(alpha_i) without any scale factor; the normalized one is preferred
-    everywhere else to keep magnitudes tame.
-    """
-    coeffs = raw_coefficients_from_roots(basis, cfg)
-    if normalize:
-        coeffs = coeffs / np.max(np.abs(coeffs))
-    return coeffs

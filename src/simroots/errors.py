@@ -13,8 +13,9 @@ class DomainError(SimrootsError):
     """An evaluation point lies outside the declared open interval."""
 
 
-class DivisionBySingularJet(SimrootsError):
-    """Series division by a jet whose constant term is numerically zero."""
+class DivisionBySingularJet(DomainError):
+    """Series division by a jet whose constant term is numerically zero:
+    the point is a pole of the expression, outside its domain."""
 
 
 class ExpressionParseError(SimrootsError):

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confluent import RootConfiguration, raw_coefficients_from_roots
+from . import confluent
+from .confluent import RootConfiguration
 from .errors import DimensionMismatch, InvalidConfiguration
 
 
@@ -35,11 +36,17 @@ class GeneralizedPolynomial:
             raise InvalidConfiguration("coefficients must not all be zero")
 
     def eval(self, x, p=0):
-        """Evaluate the p-th derivative at x by compensated summation."""
+        """Evaluate the p-th derivative at x by compensated summation.
+
+        Raises OverflowError when a term is not finite, where the sum
+        would be inf, nan, or a ValueError for inf - inf.
+        """
         a = self.coefficients
-        return math.fsum(
-            a[j] * self.basis.eval(j, x, p) for j in range(len(a)) if a[j] != 0.0
-        )
+        terms = [a[j] * self.basis.eval(j, x, p)
+                 for j in range(len(a)) if a[j] != 0.0]
+        if not all(map(math.isfinite, terms)):
+            raise OverflowError("a term of f^(%d)(%r) is not finite" % (p, x))
+        return math.fsum(terms)
 
     __call__ = eval
 
@@ -65,13 +72,6 @@ def from_roots(basis, cfg):
     each node of cfg, normalized to unit maximum coefficient magnitude."""
     if not isinstance(cfg, RootConfiguration):
         cfg = RootConfiguration(tuple(cfg))
-    raw = raw_coefficients_from_roots(basis, cfg)
+    raw = confluent.first_row_cofactors(basis, cfg)
     scale = float(np.max(np.abs(raw)))
     return GeneralizedPolynomial(basis, raw / scale, cfg, scale)
-
-
-def residual_profile(f, cfg):
-    """Module-level alias of GeneralizedPolynomial.residual_profile."""
-    if not isinstance(cfg, RootConfiguration):
-        cfg = RootConfiguration(tuple(cfg))
-    return f.residual_profile(cfg)

@@ -16,8 +16,8 @@ Q'/Q is (r_{alpha+1} . c) / (r_alpha . c): one SVD of B per sweep
 (confluent.node_null_vector) serves all roots and both probe orders.  A
 rank guard stops the solve when B is numerically singular, because c is
 then an arbitrary direction.  For a pure monomial basis the ratio
-Q'/((alpha+1) Q) collapses to the pairwise sum used by the ehrlich form,
-which is exposed separately as monomial_shortcut.
+Q'/((alpha+1) Q) equals the pairwise sum monomial_shortcut, which is the
+ehrlich form's stand-in for it.
 """
 
 import math
@@ -48,6 +48,8 @@ NOISE_FLOOR_FACTOR = 64.0
 # must not report convergence.
 RESIDUAL_VALIDATION_FACTOR = 1e-6
 
+METHODS = ("method3", "method13", "ehrlich")
+
 
 class SolveStatus(Enum):
     converged = "converged"
@@ -64,9 +66,12 @@ class SolverSettings:
     max_iterations: int = 50
     denominator_floor: float = 1e-14
     collision_threshold: float = 1e-12
-    use_monomial_shortcut: bool = False
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise InvalidConfiguration(
+                "unknown method %r (known: %s)"
+                % (self.method, ", ".join(METHODS)))
         if self.tolerance <= 0.0:
             raise InvalidConfiguration("tolerance must be positive")
         if self.denominator_floor <= 0.0:
@@ -220,63 +225,40 @@ def single_correction(f, state, i, settings, null=None):
     x = float(state.approximations[i])
     alpha = int(state.multiplicities[i])
     method = settings.method
-    if method == "method3":
-        fx = f.eval(x, 0)
-        if abs(fx) <= _noise_floor(f, x, 0):
-            return 0.0
-        if settings.use_monomial_shortcut:
-            ratio = monomial_shortcut(state, i, settings.collision_threshold)
-        else:
-            ratio = _q_ratio(
-                f, state.configuration(), i, x, alpha + 1.0,
-                settings.denominator_floor, null,
-            )
-        return _guarded_quotient(
-            alpha * fx, f.eval(x, 1), fx * ratio, settings.denominator_floor,
-            "method3",
-        )
-    if method == "method13":
-        num = f.eval(x, alpha - 1)
-        if abs(num) <= _noise_floor(f, x, alpha - 1):
-            return 0.0
-        ratio = _q_ratio(
-            f, state.configuration(), i, x, 2.0, settings.denominator_floor,
-            null,
-        )
-        return _guarded_quotient(
-            num, f.eval(x, alpha), num * ratio, settings.denominator_floor,
-            "method13",
-        )
+    floor = settings.denominator_floor
+    # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
+    p = alpha - 1 if method == "method13" else 0
+    fp = f.eval(x, p)
+    if abs(fp) <= _noise_floor(f, x, p):
+        # a root hit, or a residual of pure rounding noise: hold position
+        return 0.0
     if method == "ehrlich":
-        fx = f.eval(x, 0)
-        if abs(fx) <= _noise_floor(f, x, 0):
-            # root hit: the logarithmic derivative blows up, hold position
-            return 0.0
         shifted = monomial_shortcut(state, i, settings.collision_threshold)
         return _guarded_quotient(
-            float(alpha), f.eval(x, 1) / fx, shifted,
-            settings.denominator_floor, "ehrlich",
-        )
-    raise InvalidConfiguration("unknown method %r" % (method,))
+            float(alpha), f.eval(x, 1) / fp, shifted, floor, "ehrlich")
+    if method == "method3":
+        numerator, factor = alpha * fp, alpha + 1.0
+    else:
+        numerator, factor = fp, 2.0
+    ratio = _q_ratio(f, state.configuration(), i, x, factor, floor, null)
+    return _guarded_quotient(
+        numerator, f.eval(x, p + 1), fp * ratio, floor, method)
 
 
-def _sweep_null_vector(f, state, settings):
-    """The snapshot's node_null_vector for the determinant-ratio methods,
-    None for those that never form Q'/Q."""
-    if settings.method == "method13" or (
-            settings.method == "method3"
-            and not settings.use_monomial_shortcut):
-        return node_null_vector(f.basis, state.configuration())
-    return None
+def _compute_corrections(f, state, settings, map_=map):
+    """Corrections for every root index of the snapshot, in index order.
 
-
-def _compute_corrections(f, state, settings):
+    map_ applies the per-root correction over the indices: the builtin
+    map runs them in turn, an executor's map concurrently.  The node
+    null vector is formed once here and shared by every root.
+    """
     _check_collisions(state.approximations, settings.collision_threshold)
-    null = _sweep_null_vector(f, state, settings)
-    return np.array(
-        [single_correction(f, state, i, settings, null)
-         for i in range(len(state.approximations))]
-    )
+    null = None
+    if settings.method != "ehrlich":
+        null = node_null_vector(f.basis, state.configuration())
+    return np.array(list(map_(
+        lambda i: single_correction(f, state, i, settings, null),
+        range(len(state.approximations)))))
 
 
 def parallel_corrections(f, state, settings, max_workers=None):
@@ -286,13 +268,8 @@ def parallel_corrections(f, state, settings, max_workers=None):
     the sequential path because each task is a pure function of the shared
     snapshot.
     """
-    _check_collisions(state.approximations, settings.collision_threshold)
-    null = _sweep_null_vector(f, state, settings)
-    indices = range(len(state.approximations))
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        out = list(pool.map(
-            lambda i: single_correction(f, state, i, settings, null), indices))
-    return np.array(out)
+        return _compute_corrections(f, state, settings, pool.map)
 
 
 def _step(f, state, settings):
@@ -339,7 +316,7 @@ def _residuals_validate(f, approximations, multiplicities):
                 limit = RESIDUAL_VALIDATION_FACTOR * (
                     1.0 + f.term_magnitude(x, q))
                 residual = abs(f.eval(x, q))
-            except OverflowError:
+            except (DomainError, OverflowError):
                 return False
             if residual > limit:
                 return False
@@ -381,8 +358,13 @@ def solve(f, initial, multiplicities, settings=None):
         )
     if settings.method == "ehrlich" and not is_monomial_basis(f.basis):
         raise InvalidConfiguration("ehrlich needs the monomial basis")
-    if settings.use_monomial_shortcut and not is_monomial_basis(f.basis):
-        raise InvalidConfiguration("the monomial shortcut needs the monomial basis")
+    # method3 and method13 read the probe row of order alpha + 1
+    order = 1 if settings.method == "ehrlich" else int(mult.max()) + 1
+    if order > f.basis.derivative_cap:
+        raise InvalidConfiguration(
+            "%s needs derivatives of order %d but the basis caps them at %d"
+            % (settings.method, order, f.basis.derivative_cap)
+        )
 
     state = IterationState(approx.copy(), mult.copy())
     history = [state]

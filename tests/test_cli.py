@@ -221,6 +221,18 @@ def test_rejection_messages_name_the_field(tmp_path, capsys):
                        basis=[{"kind": "constant"}, {"kind": "cubic"}])),
         ("initial", dict(REFERENCE_PROBLEM, initial=[-0.4])),
         ("polynomial", dict(REFERENCE_PROBLEM, polynomial={})),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={
+            "coefficients": [float("nan"), 1, 1, 1, 1]})),
+        ("initial", dict(REFERENCE_PROBLEM, initial=[float("inf"), 2.8])),
+        ("initial", dict(REFERENCE_PROBLEM, initial=[10 ** 400, 2.8])),
+        # exp(800 x) overflows while the node block is built
+        ("polynomial", dict(
+            REFERENCE_PROBLEM,
+            basis=[{"kind": "constant"}, {"kind": "power", "s": 1},
+                   {"kind": "exponential", "lambda": 800}],
+            polynomial={"roots": [{"x": 1, "multiplicity": 1},
+                                  {"x": 2, "multiplicity": 1}]},
+            initial=[0.9, 2.1], multiplicities=[1, 1])),
     ]
     for field, doc in cases:
         problem = _write_problem(tmp_path, doc)

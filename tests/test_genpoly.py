@@ -13,7 +13,6 @@ from simroots import (
     from_roots,
     make_reference_basis,
     power,
-    residual_profile,
 )
 
 
@@ -106,7 +105,7 @@ def test_residual_profile_perturbed_roots():
     cfg = RootConfiguration(((-0.5, 2), (3.0, 2)))
     f = from_roots(make_reference_basis(), cfg)
     off = RootConfiguration(((-0.4, 2), (2.8, 2)))
-    profile = residual_profile(f, off)
+    profile = f.residual_profile(off)
     assert max(profile) > 1e-6
 
 

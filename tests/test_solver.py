@@ -182,22 +182,6 @@ def test_ehrlich_needs_monomial_basis(reference_problem):
     with pytest.raises(InvalidConfiguration):
         solve(f, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES,
               SolverSettings(method="ehrlich"))
-    with pytest.raises(InvalidConfiguration):
-        solve(f, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES,
-              SolverSettings(use_monomial_shortcut=True))
-
-
-def test_shortcut_setting_agrees_with_determinants():
-    system = _monomials(4)
-    f = from_roots(system, RootConfiguration(((0.0, 1), (1.0, 1), (2.0, 1))))
-    initial = (-0.2, 1.15, 2.3)
-    plain = solve(f, initial, (1, 1, 1))
-    fast = solve(f, initial, (1, 1, 1),
-                 SolverSettings(use_monomial_shortcut=True))
-    assert plain.status is fast.status
-    assert plain.iterations_used == fast.iterations_used
-    for a, b in zip(plain.history, fast.history):
-        assert a.approximations == pytest.approx(b.approximations, rel=1e-9)
 
 
 def test_collision_stops_the_solve():
@@ -248,13 +232,18 @@ def test_rank_guard_ignores_the_scale_of_a_basis_function():
 
 def test_overflow_lands_in_domain_escape():
     # exp(50 x) raises OverflowError at x=20, while the expression x*x*x
-    # overflows to inf at x=1e200 without raising
+    # overflows to inf at x=1e200 without raising; at x=1e80 the terms of
+    # f are -1e80, inf and -inf, whose sum used to raise ValueError
     system = BasisSystem((constant(), power(1), exponential(50.0)))
     raising = from_roots(system, RootConfiguration(((0.0, 1), (0.01, 1))))
     system = BasisSystem((expression("1"), expression("x*x*x"),
                           expression("exp(-x*x)"), expression("x")))
     infinite = GeneralizedPolynomial(system, np.array([1.0, -1.0, 0.5, 0.3]))
-    for f, initial in ((raising, (20.0, 0.3)), (infinite, (1e200, 1.0, -1.0))):
+    system = BasisSystem((expression("1"), expression("x"),
+                          expression("x*x*x*x*x"), expression("x*x*x*x*x*x")))
+    opposed = GeneralizedPolynomial(system, np.array([1.0, -1.0, 1.0, -1.0]))
+    for f, initial in ((raising, (20.0, 0.3)), (infinite, (1e200, 1.0, -1.0)),
+                       (opposed, (1e80, 0.5, -0.5))):
         for method in ("method3", "method13"):
             report = solve(f, initial, (1,) * len(initial),
                            SolverSettings(method=method))
@@ -274,6 +263,23 @@ def test_domain_escape():
     report = solve(f, (0.5, -0.5), (1, 1))
     assert report.status is SolveStatus.domain_escape
     assert report.iterations_used >= 1
+
+    # a pole of an expression member is outside its domain
+    system = BasisSystem((constant(), power(1), expression("1/x")))
+    f = from_roots(system, RootConfiguration(((0.5, 1), (2.0, 1))))
+    report = solve(f, (0.0, 1.0), (1, 1))
+    assert report.status is SolveStatus.domain_escape
+    assert report.iterations_used == 0
+    assert report.final_residuals[0] == float("inf")
+
+
+def test_derivative_orders_above_the_cap_are_rejected():
+    # a 9-fold root needs order 10 from members capped at 8
+    system = BasisSystem(tuple(expression("x^%d" % s) for s in range(10)))
+    f = GeneralizedPolynomial(system, np.ones(10))
+    for method in ("method3", "method13"):
+        with pytest.raises(InvalidConfiguration):
+            solve(f, (0.3,), (9,), SolverSettings(method=method))
 
 
 def test_max_iterations(reference_problem):
@@ -386,6 +392,8 @@ def test_settings_validation():
         SolverSettings(denominator_floor=-1e-3)
     with pytest.raises(InvalidConfiguration):
         SolverSettings(max_iterations=0)
+    with pytest.raises(InvalidConfiguration):
+        SolverSettings(method="nope")
 
 
 def test_unknown_method_raises(reference_problem):
