@@ -8,11 +8,16 @@ integer power, sine, cosine, exponential, and the inverse quadratic
 Catalog kinds differentiate through closed formulas.  Expression trees
 differentiate through truncated Taylor series (jets), so no numerical
 differencing is involved anywhere in the evaluation path.
+
+BasisSystem.rows gives every member's derivatives of orders 0 .. top at
+a point, one pass of each member's formula; eval reads one entry of it.
 """
 
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -49,10 +54,6 @@ class Jet:
 
     def __init__(self, coefficients):
         self.coefficients = list(coefficients)
-
-    @property
-    def order(self):
-        return len(self.coefficients) - 1
 
     def derivative(self, q):
         """Return the derivative of order q encoded by this jet."""
@@ -312,10 +313,16 @@ def jet_propagate(tree, x, p):
     Returns
     -------
     Jet
+
+    Raises OverflowError for math's ValueError at an overflowed value:
+    sin or cos of inf, or inf - inf in a compensated sum.
     """
     if isinstance(tree, str):
         tree = parse_expression(tree)
-    return _propagate(tree, float(x), int(p))
+    try:
+        return _propagate(tree, float(x), int(p))
+    except ValueError as exc:
+        raise OverflowError("jet at x=%r: %s" % (x, exc)) from None
 
 
 # ----------------------------------------------------------------------
@@ -393,47 +400,48 @@ def expression(source, derivative_cap=EXPRESSION_CAP):
     )
 
 
-def _inverse_quadratic_derivative(x, p):
-    # polar form of (x - i): 1/(1+x^2) is the imaginary part of 1/(x - i),
-    # so the p-th derivative is (-1)^(p+1) p! sin((p+1) theta) / r^(p+1)
-    r = math.hypot(x, 1.0)
-    theta = math.atan2(-1.0, x)
-    return (-1.0) ** (p + 1) * math.factorial(p) * math.sin((p + 1) * theta) / r ** (p + 1)
+def _column(b, x, top):
+    """Derivatives of orders 0 .. top of one basis function at x: closed
+    forms for catalog kinds, one jet of order top for expressions.  A
+    truncated jet is prefix-stable (coefficient k depends only on orders
+    <= k), so entry p equals the top coefficient of the jet of order p.
+    Raises OrderExceedsCap if top exceeds the function's derivative cap.
+    """
+    if top > b.derivative_cap:
+        raise OrderExceedsCap(
+            "derivative order %d exceeds cap %d" % (top, b.derivative_cap)
+        )
+    orders = range(top + 1)
+    if b.kind == "constant":
+        return [1.0] + [0.0] * top
+    if b.kind == "power":
+        return [math.perm(b.s, p) * x ** (b.s - p) if p <= b.s else 0.0
+                for p in orders]
+    if b.kind in ("sine", "cosine"):
+        trig = math.sin if b.kind == "sine" else math.cos
+        return [b.omega ** p * trig(b.omega * x + p * math.pi / 2.0)
+                for p in orders]
+    if b.kind == "exponential":
+        e = math.exp(b.rate * x)
+        return [b.rate ** p * e for p in orders]
+    if b.kind == "inverse-quadratic":
+        # polar form of (x - i): 1/(1+x^2) is the imaginary part of 1/(x - i),
+        # so the p-th derivative is (-1)^(p+1) p! sin((p+1) theta) / r^(p+1)
+        r = math.hypot(x, 1.0)
+        theta = math.atan2(-1.0, x)
+        return [(-1.0) ** (p + 1) * math.factorial(p) * math.sin((p + 1) * theta)
+                / r ** (p + 1) for p in orders]
+    if b.kind == "expression":
+        jet = jet_propagate(b.tree, x, top)
+        return [jet.derivative(p) for p in orders]
+    raise ExpressionParseError("unknown basis kind %r" % (b.kind,))
 
 
 def eval_basis(b, x, p=0):
-    """Evaluate the p-th derivative of a basis function at x.
-
-    Closed forms are used for catalog kinds; expression kinds propagate
-    a Taylor jet of order p and read off the top coefficient.  The domain
-    is the basis system's, checked by BasisSystem.eval.
-
-    Raises
-    ------
-    OrderExceedsCap
-        If p exceeds the function's derivative cap.
-    """
-    if p > b.derivative_cap:
-        raise OrderExceedsCap(
-            "derivative order %d exceeds cap %d" % (p, b.derivative_cap)
-        )
-    if b.kind == "constant":
-        return 1.0 if p == 0 else 0.0
-    if b.kind == "power":
-        if p > b.s:
-            return 0.0
-        return math.perm(b.s, p) * x ** (b.s - p)
-    if b.kind == "sine":
-        return b.omega ** p * math.sin(b.omega * x + p * math.pi / 2.0)
-    if b.kind == "cosine":
-        return b.omega ** p * math.cos(b.omega * x + p * math.pi / 2.0)
-    if b.kind == "exponential":
-        return b.rate ** p * math.exp(b.rate * x)
-    if b.kind == "inverse-quadratic":
-        return _inverse_quadratic_derivative(x, p)
-    if b.kind == "expression":
-        return jet_propagate(b.tree, x, p).derivative(p)
-    raise ExpressionParseError("unknown basis kind %r" % (b.kind,))
+    """Evaluate the p-th derivative of a basis function at x: entry p of
+    its derivative column, so OrderExceedsCap if p exceeds its cap.  The
+    domain is the basis system's, checked by BasisSystem.eval and rows."""
+    return _column(b, x, p)[p]
 
 
 # ----------------------------------------------------------------------
@@ -474,14 +482,25 @@ class BasisSystem:
         lo, hi = self.domain
         return math.isfinite(x) and lo < x < hi
 
-    def eval(self, j, x, p=0):
-        """Evaluate the p-th derivative of member j at x."""
+    def _check_domain(self, x):
         if not self.contains(x):
             lo, hi = self.domain
             raise DomainError(
                 "x=%r outside open interval (%g, %g)" % (x, lo, hi)
             )
+
+    def eval(self, j, x, p=0):
+        """Evaluate the p-th derivative of member j at x."""
+        self._check_domain(x)
         return eval_basis(self.functions[j], x, p)
+
+    def rows(self, x, top):
+        """(top+1) x (n+1) array whose row p holds phi_j^(p)(x), entry for
+        entry equal to eval(j, x, p).  Raises DomainError outside the
+        domain and OrderExceedsCap when top exceeds the system's cap."""
+        self._check_domain(x)
+        x = float(x)
+        return np.array([_column(b, x, top) for b in self.functions]).T
 
 
 def make_reference_basis():

@@ -67,32 +67,30 @@ class ConfluentMatrix:
 
 
 def _node_rows(basis, cfg):
-    n1 = len(basis)
-    return [[basis.eval(j, loc, q) for j in range(n1)]
-            for loc, mult in cfg.nodes for q in range(mult)]
+    """Node rows of cfg as one array, from one basis.rows call per node."""
+    return np.vstack([basis.rows(loc, mult - 1) for loc, mult in cfg.nodes])
 
 
 def _checked_size(basis, cfg):
-    """len(basis), after checking that cfg makes the bordered block square."""
-    n1 = len(basis)
-    if cfg.total_degree + 1 != n1:
+    """Raise DimensionMismatch unless cfg makes the bordered block square."""
+    if cfg.total_degree + 1 != len(basis):
         raise DimensionMismatch(
             "node multiplicities sum to %d but the basis has %d functions"
-            % (cfg.total_degree, n1)
+            % (cfg.total_degree, len(basis))
         )
-    return n1
 
 
-def _node_block(basis, cfg):
-    """The n x (n+1) node block of cfg as an array.
+def _node_block(basis, cfg, block=None):
+    """The n x (n+1) node block of cfg, stacked here unless given.
 
     Raises DimensionMismatch unless cfg makes the bordered block square,
     and OverflowError when a basis value is not finite: expression jets
     overflow to inf without raising, and an SVD can fail to return at all
     on a non-finite entry.
     """
-    _checked_size(basis, cfg)
-    block = np.array(_node_rows(basis, cfg), dtype=float)
+    if block is None:
+        _checked_size(basis, cfg)
+        block = _node_rows(basis, cfg)
     if not np.isfinite(block).all():
         raise OverflowError("the node block has non-finite basis values")
     return block
@@ -115,10 +113,9 @@ def build_matrix(basis, cfg, probe, first_row_order):
     -------
     ConfluentMatrix
     """
-    n1 = _checked_size(basis, cfg)
-    first = [basis.eval(j, probe, first_row_order) for j in range(n1)]
-    entries = np.array([first] + _node_rows(basis, cfg), dtype=float)
-    return ConfluentMatrix(entries)
+    _checked_size(basis, cfg)
+    first = basis.rows(probe, first_row_order)[first_row_order]
+    return ConfluentMatrix(np.vstack([first, _node_rows(basis, cfg)]))
 
 
 def determinant(matrix):
@@ -182,10 +179,11 @@ def _binary_exponents(a, axis):
     return np.frexp(np.max(np.abs(a), axis=axis))[1]
 
 
-def node_null_vector(basis, cfg):
+def node_null_vector(basis, cfg, block=None):
     """Null vector c of the node block and its singular value ratio.
 
-    The node block B stacks the node rows of cfg; it is n x (n+1), so its
+    The node block B stacks the node rows of cfg (block, when given, is
+    B already stacked from rows at the nodes); it is n x (n+1), so its
     null space is one-dimensional when B has full rank.  Bordering B with
     any probe row r gives det([r; B]) = kappa (r . c) with one constant
     kappa for the whole block, so a single factorization serves every root
@@ -200,7 +198,7 @@ def node_null_vector(basis, cfg):
     scaling keeps that ratio from reading basis functions of very
     different magnitudes, such as exp(30 x) beside 1, as rank deficiency.
     """
-    block = _node_block(basis, cfg)
+    block = _node_block(basis, cfg, block)
     block = np.ldexp(block, -_binary_exponents(block, 1)[:, None])
     column_exponents = _binary_exponents(block, 0)
     block = np.ldexp(block, -column_exponents)

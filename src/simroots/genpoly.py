@@ -35,36 +35,37 @@ class GeneralizedPolynomial:
         if not np.any(coeffs):
             raise InvalidConfiguration("coefficients must not all be zero")
 
-    def eval(self, x, p=0):
-        """Evaluate the p-th derivative at x by compensated summation.
+    def row_sums(self, row):
+        """(sum_j a_j r_j, sum_j |a_j r_j|) for one row r of basis values:
+        with r = basis.rows(x, top)[p], f^(p)(x) and its term magnitude.
 
-        Raises OverflowError when a term is not finite, where the sum
-        would be inf, nan, or a ValueError for inf - inf.
+        Compensated sums over the nonzero coefficients.  Raises
+        OverflowError when a term is not finite, where the sum would be
+        inf, nan, or a ValueError for inf - inf.
         """
         a = self.coefficients
-        terms = [a[j] * self.basis.eval(j, x, p)
-                 for j in range(len(a)) if a[j] != 0.0]
-        if not all(map(math.isfinite, terms)):
-            raise OverflowError("a term of f^(%d)(%r) is not finite" % (p, x))
-        return math.fsum(terms)
+        nonzero = a != 0.0
+        terms = a[nonzero] * row[nonzero]
+        if not np.isfinite(terms).all():
+            raise OverflowError("a term of f at a basis row is not finite")
+        terms = terms.tolist()
+        return math.fsum(terms), math.fsum(map(abs, terms))
+
+    def eval(self, x, p=0):
+        """Evaluate the p-th derivative at x by compensated summation."""
+        return self.row_sums(self.basis.rows(x, p)[p])[0]
 
     __call__ = eval
 
     def term_magnitude(self, x, p=0):
         """Sum of |a_j phi_j^(p)(x)|, the roundoff scale of eval(x, p)."""
-        a = self.coefficients
-        return math.fsum(
-            abs(a[j] * self.basis.eval(j, x, p)) for j in range(len(a)) if a[j] != 0.0
-        )
+        return self.row_sums(self.basis.rows(x, p)[p])[1]
 
     def residual_profile(self, cfg):
         """|f^(q)(x_j)| for each node j and q = 0 .. alpha_j - 1, flattened
         in node-block row order.  An empty configuration gives []."""
-        out = []
-        for loc, mult in cfg.nodes:
-            for q in range(mult):
-                out.append(abs(self.eval(loc, q)))
-        return out
+        return [abs(self.row_sums(row)[0]) for loc, mult in cfg.nodes
+                for row in self.basis.rows(loc, mult - 1)]
 
 
 def from_roots(basis, cfg):

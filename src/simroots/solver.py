@@ -18,6 +18,10 @@ rank guard stops the solve when B is numerically singular, because c is
 then an arbitrary direction.  For a pure monomial basis the ratio
 Q'/((alpha+1) Q) equals the pairwise sum monomial_shortcut, which is the
 ehrlich form's stand-in for it.
+
+A sweep reads all basis values from one BasisSystem.rows(x_i, top_i) per
+root: rows 0 .. alpha_i - 1 stack into B; f^(p), its noise floor and the
+probe rows come from the same array.
 """
 
 import math
@@ -112,21 +116,18 @@ class SolveReport:
     final_residuals: list
 
 
-def _noise_floor(f, x, p):
-    return NOISE_FLOOR_FACTOR * EPS * f.term_magnitude(x, p)
-
-
-def _check_collisions(approximations, base_threshold):
-    xs = approximations
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            gap = abs(xs[i] - xs[j])
-            limit = base_threshold * (1.0 + max(abs(xs[i]), abs(xs[j])))
-            if gap <= limit:
-                raise IterateCollision(
-                    "approximations %d and %d are %.3e apart (limit %.3e)"
-                    % (i, j, gap, limit)
-                )
+def _check_collisions(xs, base_threshold):
+    """Raise IterateCollision for the first pair i < j, in row order, with
+    |x_i - x_j| <= base_threshold * (1 + max(|x_i|, |x_j|))."""
+    gap = np.abs(xs[:, None] - xs)
+    limit = base_threshold * (1.0 + np.maximum.outer(np.abs(xs), np.abs(xs)))
+    hits = np.argwhere(np.triu(gap <= limit, 1))
+    if len(hits):
+        i, j = hits[0]
+        raise IterateCollision(
+            "approximations %d and %d are %.3e apart (limit %.3e)"
+            % (i, j, gap[i, j], limit[i, j])
+        )
 
 
 def is_monomial_basis(basis):
@@ -140,6 +141,14 @@ def is_monomial_basis(basis):
     return True
 
 
+def _pairwise_sums(xs, mult):
+    """sum over j != i of mult_j / (xs_i - xs_j) for every i, xs distinct;
+    each an exactly rounded math.fsum, so the order of terms is moot."""
+    quotients = mult / (xs[:, None] - xs + np.eye(len(xs)))
+    np.fill_diagonal(quotients, 0.0)
+    return [math.fsum(row) for row in quotients.tolist()]
+
+
 def monomial_shortcut(state, i, collision_threshold=1e-12):
     """sum over j != i of alpha_j / (x_i - x_j) on the current snapshot.
 
@@ -147,20 +156,17 @@ def monomial_shortcut(state, i, collision_threshold=1e-12):
     the determinant pair can be skipped.
     """
     xs = state.approximations
-    mult = state.multiplicities
     _check_collisions(xs, collision_threshold)
-    xi = xs[i]
-    return math.fsum(
-        mult[j] / (xi - xs[j]) for j in range(len(xs)) if j != i
-    )
+    return _pairwise_sums(xs, state.multiplicities)[i]
 
 
-def _q_ratio(f, cfg, i, x, factor, denominator_floor, null=None):
+def _q_ratio(f, cfg, i, x, factor, denominator_floor, null=None, probe=None):
     """Q'(x) / (factor * Q(x)) from the null vector of the node block.
 
-    null is node_null_vector(f.basis, cfg), built here when not given.
-    With r_p the probe row of order p at x, Q = kappa (r_alpha . c) and
-    Q' = kappa (r_{alpha+1} . c), so kappa cancels and each is one
+    null is node_null_vector(f.basis, cfg) and probe the basis rows of
+    orders alpha_i and alpha_i + 1 at x, each built here unless given.
+    With r_p the probe row of order p at x, Q = kappa (r_alpha . c)
+    and Q' = kappa (r_{alpha+1} . c), so kappa cancels and each is one
     compensated dot product.  Two guards raise DegenerateDenominator, and
     neither depends on the scale of c:
     - the rank guard, when the node block's singular value ratio is at
@@ -178,8 +184,10 @@ def _q_ratio(f, cfg, i, x, factor, denominator_floor, null=None):
             "node block singular value ratio %.3e is at most %g"
             % (rank_ratio, denominator_floor)
         )
-    alpha = cfg.nodes[i][1]
-    terms = c * [basis.eval(j, x, alpha) for j in range(len(c))]
+    if probe is None:
+        alpha = cfg.nodes[i][1]
+        probe = basis.rows(x, alpha + 1)[alpha:]
+    terms = c * probe[0]
     q = math.fsum(terms)
     scale = float(np.sum(np.abs(terms)))
     if scale == 0.0 or abs(q) <= denominator_floor * scale:
@@ -187,7 +195,7 @@ def _q_ratio(f, cfg, i, x, factor, denominator_floor, null=None):
             "Q_%d(%g) = %.3e is negligible against its term scale %.3e"
             % (i, x, q, scale)
         )
-    qp = math.fsum(c * [basis.eval(j, x, alpha + 1) for j in range(len(c))])
+    qp = math.fsum(c * probe[1])
     return qp / (factor * q)
 
 
@@ -214,51 +222,70 @@ def _guarded_quotient(numerator, term_a, term_b, floor, label):
     return numerator / den
 
 
-def single_correction(f, state, i, settings, null=None):
+def _top_order(method, alpha):
+    # method3 and method13 read the probe row of order alpha + 1
+    return 1 if method == "ehrlich" else int(alpha) + 1
+
+
+def single_correction(f, state, i, settings, null=None, rows=None, shift=None):
     """Correction for root index i from the current snapshot.
 
-    null is the snapshot's node_null_vector, shared across a sweep; it is
-    built from the snapshot when not given.  Pure in all arguments, so
-    calls for different i may run in any order or concurrently and
-    produce identical values.
+    A sweep passes what it builds once: null = node_null_vector, rows =
+    f.basis.rows(x_i, top_i) and, for ehrlich, shift = monomial_shortcut;
+    each is built from the snapshot when not given.  Pure in all
+    arguments, so calls for different i may run in any order or
+    concurrently and produce identical values.
     """
     x = float(state.approximations[i])
     alpha = int(state.multiplicities[i])
     method = settings.method
     floor = settings.denominator_floor
+    if rows is None:
+        rows = f.basis.rows(x, _top_order(method, alpha))
     # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
     p = alpha - 1 if method == "method13" else 0
-    fp = f.eval(x, p)
-    if abs(fp) <= _noise_floor(f, x, p):
+    fp, magnitude = f.row_sums(rows[p])
+    if abs(fp) <= NOISE_FLOOR_FACTOR * EPS * magnitude:
         # a root hit, or a residual of pure rounding noise: hold position
         return 0.0
     if method == "ehrlich":
-        shifted = monomial_shortcut(state, i, settings.collision_threshold)
+        if shift is None:
+            shift = monomial_shortcut(state, i, settings.collision_threshold)
         return _guarded_quotient(
-            float(alpha), f.eval(x, 1) / fp, shifted, floor, "ehrlich")
+            float(alpha), f.row_sums(rows[1])[0] / fp, shift, floor, "ehrlich")
     if method == "method3":
         numerator, factor = alpha * fp, alpha + 1.0
     else:
         numerator, factor = fp, 2.0
-    ratio = _q_ratio(f, state.configuration(), i, x, factor, floor, null)
+    # the configuration is read only to build a null vector not given
+    cfg = state.configuration() if null is None else None
+    ratio = _q_ratio(f, cfg, i, x, factor, floor, null, rows[alpha:alpha + 2])
     return _guarded_quotient(
-        numerator, f.eval(x, p + 1), fp * ratio, floor, method)
+        numerator, f.row_sums(rows[p + 1])[0], fp * ratio, floor, method)
 
 
 def _compute_corrections(f, state, settings, map_=map):
     """Corrections for every root index of the snapshot, in index order.
 
     map_ applies the per-root correction over the indices: the builtin
-    map runs them in turn, an executor's map concurrently.  The node
-    null vector is formed once here and shared by every root.
+    map runs them in turn, an executor's map concurrently.  Each root's
+    basis rows, the collision check, the node null vector and the ehrlich
+    pairwise sums are formed once here.
     """
-    _check_collisions(state.approximations, settings.collision_threshold)
-    null = None
-    if settings.method != "ehrlich":
-        null = node_null_vector(f.basis, state.configuration())
+    xs, mult = state.approximations, state.multiplicities
+    _check_collisions(xs, settings.collision_threshold)
+    rows = [f.basis.rows(float(x), _top_order(settings.method, a))
+            for x, a in zip(xs, mult)]
+    null, shifts = None, [None] * len(xs)
+    if settings.method == "ehrlich":
+        shifts = _pairwise_sums(xs, mult)
+    else:
+        block = np.vstack([r[:a] for r, a in zip(rows, mult)])
+        null = node_null_vector(f.basis, state.configuration(), block)
     return np.array(list(map_(
-        lambda i: single_correction(f, state, i, settings, null),
-        range(len(state.approximations)))))
+        lambda i: single_correction(f, state, i, settings, null, rows[i],
+                                    shifts[i]),
+        range(len(xs)))))
 
 
 def parallel_corrections(f, state, settings, max_workers=None):
@@ -279,14 +306,12 @@ def _step(f, state, settings):
 
 def step_method3(f, state, settings=None):
     """One total-step sweep of the multiplicity-aware third-order method."""
-    settings = _with_method(settings, "method3")
-    return _step(f, state, settings)[0]
+    return _step(f, state, _with_method(settings, "method3"))[0]
 
 
 def step_method13(f, state, settings=None):
     """One total-step sweep of the higher-derivative baseline method."""
-    settings = _with_method(settings, "method13")
-    return _step(f, state, settings)[0]
+    return _step(f, state, _with_method(settings, "method13"))[0]
 
 
 def ehrlich_step(f, state, settings=None):
@@ -297,40 +322,37 @@ def ehrlich_step(f, state, settings=None):
     """
     if not is_monomial_basis(f.basis):
         raise InvalidConfiguration("ehrlich steps need the monomial basis")
-    settings = _with_method(settings, "ehrlich")
-    return _step(f, state, settings)[0]
+    return _step(f, state, _with_method(settings, "ehrlich"))[0]
 
 
 def _with_method(settings, method):
-    if settings is None:
-        return SolverSettings(method=method)
-    if settings.method != method:
-        return replace(settings, method=method)
-    return settings
+    return replace(settings or SolverSettings(), method=method)
+
+
+def _residual_sums(f, x, alpha):
+    """(f^(q)(x), its term magnitude) for q < alpha, or None when x has
+    left the basis domain or a value the float range."""
+    try:
+        return [f.row_sums(row) for row in f.basis.rows(x, int(alpha) - 1)]
+    except (DomainError, OverflowError):
+        return None
 
 
 def _residuals_validate(f, approximations, multiplicities):
     for x, alpha in zip(approximations, multiplicities):
-        for q in range(alpha):
-            try:
-                limit = RESIDUAL_VALIDATION_FACTOR * (
-                    1.0 + f.term_magnitude(x, q))
-                residual = abs(f.eval(x, q))
-            except (DomainError, OverflowError):
-                return False
-            if residual > limit:
-                return False
+        sums = _residual_sums(f, x, alpha)
+        if sums is None or any(abs(value) > RESIDUAL_VALIDATION_FACTOR
+                               * (1.0 + magnitude) for value, magnitude in sums):
+            return False
     return True
 
 
 def _final_residuals(f, approximations, multiplicities):
     out = []
     for x, alpha in zip(approximations, multiplicities):
-        for q in range(int(alpha)):
-            try:
-                out.append(abs(f.eval(x, q)))
-            except (DomainError, OverflowError):
-                out.append(math.inf)
+        sums = _residual_sums(f, x, alpha)
+        out.extend([math.inf] * int(alpha) if sums is None
+                   else [abs(value) for value, _ in sums])
     return out
 
 
@@ -358,8 +380,7 @@ def solve(f, initial, multiplicities, settings=None):
         )
     if settings.method == "ehrlich" and not is_monomial_basis(f.basis):
         raise InvalidConfiguration("ehrlich needs the monomial basis")
-    # method3 and method13 read the probe row of order alpha + 1
-    order = 1 if settings.method == "ehrlich" else int(mult.max()) + 1
+    order = _top_order(settings.method, mult.max())
     if order > f.basis.derivative_cap:
         raise InvalidConfiguration(
             "%s needs derivatives of order %d but the basis caps them at %d"

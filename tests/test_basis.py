@@ -118,6 +118,49 @@ def test_division_by_singular_jet():
         jet_propagate("1/(x-0.5)", 0.5, 3)
 
 
+def test_jet_overflow_raises_overflow_error():
+    # sin and cos of an argument that overflowed to inf, and inf - inf in
+    # a series product, are ValueErrors inside math
+    for source, x in (("sin(x*x*x)", 1e200), ("cos(x^3)", 1e200),
+                      ("x*x*x*(1/x)", 1e160)):
+        with pytest.raises(OverflowError):
+            jet_propagate(source, x, 2)
+
+
+ROW_SYSTEMS = {
+    # power(3) below the top order, so its highest rows are zero
+    "catalog": BasisSystem((constant(), power(1), power(3), sine(3.0),
+                            cosine(1.7), exponential(-1.0),
+                            inverse_quadratic())),
+    "expressions": BasisSystem(tuple(expression(s) for s in (
+        "1", "x*x", "sin(3*x)", "exp(-x)", "1/(1+x*x)"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_SYSTEMS))
+def test_rows_agree_with_scalar_eval(name):
+    system = ROW_SYSTEMS[name]
+    top = 5
+    for x in GENERIC_POINTS:
+        rows = system.rows(x, top)
+        assert rows.shape == (top + 1, len(system))
+        for p in range(top + 1):
+            for j in range(len(system)):
+                assert rows[p, j] == system.eval(j, x, p), (name, x, p, j)
+
+
+def test_rows_check_the_domain_and_the_cap():
+    system = BasisSystem((constant(), power(1)), domain=(0.0, 1.0))
+    assert system.rows(0.5, 1).tolist() == [[1.0, 0.5], [0.0, 1.0]]
+    for x in (-0.2, 1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            system.rows(x, 1)
+    capped = BasisSystem((constant(), expression("x*x", derivative_cap=3)))
+    assert capped.rows(0.5, 3)[2].tolist() == [0.0, 2.0]
+    with pytest.raises(OrderExceedsCap):
+        capped.rows(0.5, 4)
+
+
 @pytest.mark.parametrize("bad", [
     "2*+3",
     "x^1.5",

@@ -6,6 +6,9 @@ started from (-0.4, 2.8).  The expected iterate cells are frozen
 reference values for this configuration.
 """
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -32,9 +35,10 @@ from simroots import (
     step_method3,
     step_method13,
 )
+from simroots import solver
 from simroots.basis import BasisSystem, constant, exponential, expression, power
 from simroots.confluent import node_null_vector
-from simroots.solver import _compute_corrections
+from simroots.solver import METHODS, _compute_corrections, _step
 
 REFERENCE_ROOTS = RootConfiguration(((-0.5, 2), (3.0, 2)))
 REFERENCE_INITIAL = (-0.4, 2.8)
@@ -136,6 +140,22 @@ def test_monomial_shortcut_small_cases():
 def test_monomial_shortcut_collision_guard():
     state = IterationState(np.array([0.5, 0.5 + 1e-14]), np.array([1, 1]))
     with pytest.raises(IterateCollision):
+        monomial_shortcut(state, 0)
+
+
+def test_vectorized_snapshot_checks_match_the_loops():
+    # the pairwise sums and the collision check are formed on arrays; the
+    # per-pair loops they replaced stay here as the reference
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 5, 20):
+        state = IterationState(rng.uniform(-2.0, 2.0, m), rng.integers(1, 4, m))
+        xs, mult = state.approximations, state.multiplicities
+        for i in range(m):
+            loop = math.fsum(mult[j] / (xs[i] - xs[j]) for j in range(m) if j != i)
+            assert monomial_shortcut(state, i) == loop
+    # pairs (1, 3) and (2, 4) collide; the loop names the first in row order
+    state = IterationState([1.0, 3.0, 2.0, 3.0 + 1e-13, 2.0 + 1e-13], [1] * 5)
+    with pytest.raises(IterateCollision, match="approximations 1 and 3 "):
         monomial_shortcut(state, 0)
 
 
@@ -250,6 +270,18 @@ def test_overflow_lands_in_domain_escape():
             assert report.status is SolveStatus.domain_escape
             assert report.iterations_used == 0
             assert report.final_residuals[0] == float("inf")
+
+
+def test_sine_of_an_overflowed_argument_lands_in_domain_escape():
+    # x*x*x overflows to inf at 1e200, and math.sin(inf) raised ValueError
+    system = BasisSystem((expression("1"), expression("x"),
+                          expression("sin(x*x*x)")))
+    f = GeneralizedPolynomial(system, np.array([1.0, -1.0, 0.5]))
+    for method in ("method3", "method13"):
+        report = solve(f, (1e200, 0.5), (1, 1), SolverSettings(method=method))
+        assert report.status is SolveStatus.domain_escape
+        assert report.iterations_used == 0
+        assert report.final_residuals[0] == float("inf")
 
 
 def test_domain_escape():
@@ -383,6 +415,48 @@ def test_shared_null_vector_gives_the_same_bits(reference_problem, method):
         assert np.all(alone != 0.0)
         assert np.array_equal(alone, _compute_corrections(f, state, settings))
         assert np.array_equal(alone, parallel_corrections(f, state, settings))
+
+
+def _monomial_snapshot(multiplicities):
+    """A monomial polynomial with roots spread over [-0.9, 0.9], and a
+    snapshot whose starts sit 4% of the root gap away from them."""
+    roots = np.linspace(-0.9, 0.9, len(multiplicities))
+    f = from_roots(_monomials(sum(multiplicities) + 1),
+                   RootConfiguration(tuple(zip(roots, multiplicities))))
+    offsets = 0.04 * (roots[1] - roots[0]) * (-1.0) ** np.arange(len(roots))
+    return f, IterationState(roots + offsets, np.array(multiplicities))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_shared_rows_give_the_same_corrections(method):
+    settings = SolverSettings(method=method)
+    for multiplicities in ((1,) * 10, (3, 3, 2, 2, 2)):
+        f, state = _monomial_snapshot(multiplicities)
+        alone = np.array([single_correction(f, state, i, settings)
+                          for i in range(len(multiplicities))])
+        assert np.all(alone != 0.0)
+        assert np.array_equal(alone, _compute_corrections(f, state, settings))
+        assert np.array_equal(alone, parallel_corrections(f, state, settings))
+
+
+def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch):
+    f, state = _monomial_snapshot((1,) * 14)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(BasisSystem, "rows", counting("rows", BasisSystem.rows))
+    monkeypatch.setattr(BasisSystem, "eval", counting("eval", BasisSystem.eval))
+    monkeypatch.setattr(solver, "_check_collisions",
+                        counting("collisions", solver._check_collisions))
+    for method in METHODS:
+        calls.clear()
+        _step(f, state, SolverSettings(method=method))
+        assert calls == {"rows": 14, "collisions": 1}, method
 
 
 def test_settings_validation():
