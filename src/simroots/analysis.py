@@ -99,7 +99,7 @@ def check_derivative_congruence(f, basis, true_cfg, scale,
     deviation grows at most linearly in the shift.
 
     scale is the factor relating f's (normalized) coefficients to the raw
-    minor-built ones; from_roots stores it as construction_scale.
+    cofactors; from_roots stores it as construction_scale.
     """
     if probe_grid is None:
         locs = true_cfg.locations
@@ -164,13 +164,3 @@ def estimate_order(history, true_roots):
         per_root.append((r, chosen))
     return OrderEstimate(per_root=tuple(per_root))
 
-
-def write_diagnostics_csv(path, rows):
-    """Write (quantity, x-or-k, value) diagnostic rows as CSV."""
-    lines = ["quantity,x_or_k,value"]
-    for quantity, key, value in rows:
-        lines.append("%s,%s,%s" % (quantity, format(key, ".10g")
-                                   if isinstance(key, float) else key,
-                                   format(float(value), ".10g")))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")

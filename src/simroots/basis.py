@@ -437,13 +437,6 @@ def _column(b, x, top):
     raise ExpressionParseError("unknown basis kind %r" % (b.kind,))
 
 
-def eval_basis(b, x, p=0):
-    """Evaluate the p-th derivative of a basis function at x: entry p of
-    its derivative column, so OrderExceedsCap if p exceeds its cap.  The
-    domain is the basis system's, checked by BasisSystem.eval and rows."""
-    return _column(b, x, p)[p]
-
-
 # ----------------------------------------------------------------------
 # Basis systems
 # ----------------------------------------------------------------------
@@ -490,9 +483,10 @@ class BasisSystem:
             )
 
     def eval(self, j, x, p=0):
-        """Evaluate the p-th derivative of member j at x."""
+        """Evaluate the p-th derivative of member j at x: entry p of its
+        derivative column, so OrderExceedsCap if p exceeds its cap."""
         self._check_domain(x)
-        return eval_basis(self.functions[j], x, p)
+        return _column(self.functions[j], x, p)[p]
 
     def rows(self, x, top):
         """(top+1) x (n+1) array whose row p holds phi_j^(p)(x), entry for

@@ -13,6 +13,7 @@ differentiated.  q_value and q_derivative rely on that identity instead of
 numerical differentiation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,34 +67,17 @@ class ConfluentMatrix:
     entries: np.ndarray
 
 
-def _node_rows(basis, cfg):
-    """Node rows of cfg as one array, from one basis.rows call per node."""
-    return np.vstack([basis.rows(loc, mult - 1) for loc, mult in cfg.nodes])
+def _node_block(basis, cfg):
+    """The n x (n+1) node block of cfg, from one basis.rows call per node.
 
-
-def _checked_size(basis, cfg):
-    """Raise DimensionMismatch unless cfg makes the bordered block square."""
+    Raises DimensionMismatch unless cfg makes the bordered block square.
+    """
     if cfg.total_degree + 1 != len(basis):
         raise DimensionMismatch(
             "node multiplicities sum to %d but the basis has %d functions"
             % (cfg.total_degree, len(basis))
         )
-
-
-def _node_block(basis, cfg, block=None):
-    """The n x (n+1) node block of cfg, stacked here unless given.
-
-    Raises DimensionMismatch unless cfg makes the bordered block square,
-    and OverflowError when a basis value is not finite: expression jets
-    overflow to inf without raising, and an SVD can fail to return at all
-    on a non-finite entry.
-    """
-    if block is None:
-        _checked_size(basis, cfg)
-        block = _node_rows(basis, cfg)
-    if not np.isfinite(block).all():
-        raise OverflowError("the node block has non-finite basis values")
-    return block
+    return np.vstack([basis.rows(loc, mult - 1) for loc, mult in cfg.nodes])
 
 
 def build_matrix(basis, cfg, probe, first_row_order):
@@ -113,9 +97,9 @@ def build_matrix(basis, cfg, probe, first_row_order):
     -------
     ConfluentMatrix
     """
-    _checked_size(basis, cfg)
+    block = _node_block(basis, cfg)
     first = basis.rows(probe, first_row_order)[first_row_order]
-    return ConfluentMatrix(np.vstack([first, _node_rows(basis, cfg)]))
+    return ConfluentMatrix(np.vstack([first, block]))
 
 
 def determinant(matrix):
@@ -155,23 +139,32 @@ def first_row_cofactors(basis, cfg):
     vector of the generalized polynomial that vanishes to order alpha_j at
     every node; from_roots normalizes it.
 
-    Raises SingularNodeSystem when the node block is numerically
-    rank-deficient, which signals a node set violating the Haar condition:
-    the minors would then form a noise vector rather than a meaningful
-    coefficient direction, so rank is judged before they are formed, by
-    the smallest-to-largest singular value ratio.  Raises OverflowError on
-    a non-finite node block.
+    The cofactors are kappa times the null vector of the node block B, by
+    the identity det([r; B]) = kappa (r . c).  So c comes from
+    node_null_vector, refined by one step of iterative refinement: the
+    residual B c in compensated sums, then the least-squares correction on
+    the same equilibrated block.  One determinant fixes kappa:
+    det([e_k; B]) = kappa c_k for the largest |c_k|.
+
+    Raises SingularNodeSystem when B is numerically rank-deficient, which
+    signals a node set violating the Haar condition: c is then an
+    arbitrary direction rather than a coefficient vector.  Raises
+    OverflowError on a non-finite node block.
     """
     block = _node_block(basis, cfg)
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= SINGULARITY_RELATIVE_THRESHOLD * sv[0]:
+    c, ratio = node_null_vector(block)
+    if ratio <= SINGULARITY_RELATIVE_THRESHOLD:
         raise SingularNodeSystem(
             "node block is numerically rank-deficient "
-            "(singular value ratio %.3e)"
-            % (float(sv[-1] / sv[0]) if sv[0] else 0.0)
+            "(singular value ratio %.3e)" % ratio
         )
-    return np.array([(-1.0) ** j * determinant(np.delete(block, j, axis=1))
-                     for j in range(block.shape[1])])
+    scaled, row_exponents, column_exponents = _equilibrated(block)
+    residual = [math.fsum(terms) for terms in (block * c).tolist()]
+    step = np.linalg.lstsq(scaled, np.ldexp(residual, -row_exponents))[0]
+    c = c - np.ldexp(step, -column_exponents)
+    k = int(np.argmax(np.abs(c)))
+    unit_row = np.eye(len(c))[k]
+    return determinant(np.vstack([unit_row, block])) / c[k] * c
 
 
 def _binary_exponents(a, axis):
@@ -179,30 +172,41 @@ def _binary_exponents(a, axis):
     return np.frexp(np.max(np.abs(a), axis=axis))[1]
 
 
-def node_null_vector(basis, cfg, block=None):
+def _equilibrated(block):
+    """(S, row exponents, column exponents) with S = 2^-r B 2^-c, B the
+    node block scaled by powers of two, rows and then columns, so the
+    scaling is exact.  Raises OverflowError when a basis value is not
+    finite: expression jets overflow to inf without raising, and an SVD
+    can fail to return at all on a non-finite entry."""
+    if not np.isfinite(block).all():
+        raise OverflowError("the node block has non-finite basis values")
+    row_exponents = _binary_exponents(block, 1)
+    block = np.ldexp(block, -row_exponents[:, None])
+    column_exponents = _binary_exponents(block, 0)
+    return np.ldexp(block, -column_exponents), row_exponents, column_exponents
+
+
+def node_null_vector(block):
     """Null vector c of the node block and its singular value ratio.
 
-    The node block B stacks the node rows of cfg (block, when given, is
-    B already stacked from rows at the nodes); it is n x (n+1), so its
-    null space is one-dimensional when B has full rank.  Bordering B with
-    any probe row r gives det([r; B]) = kappa (r . c) with one constant
-    kappa for the whole block, so a single factorization serves every root
+    The node block B stacks the node rows of a configuration: rows of
+    orders 0 .. alpha_j - 1 at each node.  It is n x (n+1), so its null
+    space is one-dimensional when B has full rank.  Bordering B with any
+    probe row r gives det([r; B]) = kappa (r . c) with one constant kappa
+    for the whole block, so a single factorization serves every root
     index and every probe order on a snapshot.
 
-    B is first equilibrated by powers of two, rows and then columns, so
-    the scaling is exact and c stays a null vector of B itself: c is the
-    last right singular vector of the scaled block with the column scales
-    undone.  The returned ratio sigma_min / sigma_max of the scaled block
-    (0.0 for a zero block) says how far B is from rank deficiency, below
-    which c is an arbitrary direction rather than a null vector.  The
-    scaling keeps that ratio from reading basis functions of very
-    different magnitudes, such as exp(30 x) beside 1, as rank deficiency.
+    B is first equilibrated by powers of two (_equilibrated), so c stays
+    a null vector of B itself: c is the last right singular vector of the
+    scaled block with the column scales undone.  The returned ratio
+    sigma_min / sigma_max of the scaled block (0.0 for a zero block) says
+    how far B is from rank deficiency, below which c is an arbitrary
+    direction rather than a null vector.  The scaling keeps that ratio
+    from reading basis functions of very different magnitudes, such as
+    exp(30 x) beside 1, as rank deficiency.
     """
-    block = _node_block(basis, cfg, block)
-    block = np.ldexp(block, -_binary_exponents(block, 1)[:, None])
-    column_exponents = _binary_exponents(block, 0)
-    block = np.ldexp(block, -column_exponents)
-    _, sv, vt = np.linalg.svd(block)
+    scaled, _, column_exponents = _equilibrated(block)
+    _, sv, vt = np.linalg.svd(scaled)
     ratio = float(sv[-1] / sv[0]) if sv[0] else 0.0
     return np.ldexp(vt[-1], -column_exponents), ratio
 
@@ -211,12 +215,9 @@ def q_value(basis, cfg, i, x):
     """Q_i at x: the confluent determinant with its first row differentiated
     alpha_i times, built on the current iterate configuration.
 
-    Evaluated by pivoted elimination of the full matrix.  Expanding along
-    the probe row with first_row_cofactors instead loses accuracy, because
-    each cofactor is a separately rounded minor.  The probe-row expansion
-    with node_null_vector, which the solver uses for Q_i'/Q_i, has no
-    minors and keeps the accuracy of this elimination against a 50-digit
-    oracle.
+    Evaluated by pivoted elimination of the full matrix, independently of
+    the null vector the solver uses for Q_i'/Q_i, so the two can check
+    each other.
     """
     alpha = cfg.nodes[i][1]
     return determinant(build_matrix(basis, cfg, x, alpha))

@@ -61,12 +61,6 @@ class GeneralizedPolynomial:
         """Sum of |a_j phi_j^(p)(x)|, the roundoff scale of eval(x, p)."""
         return self.row_sums(self.basis.rows(x, p)[p])[1]
 
-    def residual_profile(self, cfg):
-        """|f^(q)(x_j)| for each node j and q = 0 .. alpha_j - 1, flattened
-        in node-block row order.  An empty configuration gives []."""
-        return [abs(self.row_sums(row)[0]) for loc, mult in cfg.nodes
-                for row in self.basis.rows(loc, mult - 1)]
-
 
 def from_roots(basis, cfg):
     """Construct the generalized polynomial vanishing to order alpha_j at

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .confluent import RootConfiguration, node_null_vector
+from .confluent import RootConfiguration, _node_block, node_null_vector
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -163,7 +163,7 @@ def monomial_shortcut(state, i, collision_threshold=1e-12):
 def _q_ratio(f, cfg, i, x, factor, denominator_floor, null=None, probe=None):
     """Q'(x) / (factor * Q(x)) from the null vector of the node block.
 
-    null is node_null_vector(f.basis, cfg) and probe the basis rows of
+    null is node_null_vector of cfg's node block and probe the basis rows of
     orders alpha_i and alpha_i + 1 at x, each built here unless given.
     With r_p the probe row of order p at x, Q = kappa (r_alpha . c)
     and Q' = kappa (r_{alpha+1} . c), so kappa cancels and each is one
@@ -178,7 +178,9 @@ def _q_ratio(f, cfg, i, x, factor, denominator_floor, null=None, probe=None):
       node block.
     """
     basis = f.basis
-    c, rank_ratio = null if null is not None else node_null_vector(basis, cfg)
+    if null is None:
+        null = node_null_vector(_node_block(basis, cfg))
+    c, rank_ratio = null
     if rank_ratio <= denominator_floor:
         raise DegenerateDenominator(
             "node block singular value ratio %.3e is at most %g"
@@ -281,7 +283,7 @@ def _compute_corrections(f, state, settings, map_=map):
         shifts = _pairwise_sums(xs, mult)
     else:
         block = np.vstack([r[:a] for r, a in zip(rows, mult)])
-        null = node_null_vector(f.basis, state.configuration(), block)
+        null = node_null_vector(block)
     return np.array(list(map_(
         lambda i: single_correction(f, state, i, settings, null, rows[i],
                                     shifts[i]),
@@ -329,30 +331,30 @@ def _with_method(settings, method):
     return replace(settings or SolverSettings(), method=method)
 
 
-def _residual_sums(f, x, alpha):
-    """(f^(q)(x), its term magnitude) for q < alpha, or None when x has
-    left the basis domain or a value the float range."""
-    try:
-        return [f.row_sums(row) for row in f.basis.rows(x, int(alpha) - 1)]
-    except (DomainError, OverflowError):
-        return None
-
-
-def _residuals_validate(f, approximations, multiplicities):
-    for x, alpha in zip(approximations, multiplicities):
-        sums = _residual_sums(f, x, alpha)
-        if sums is None or any(abs(value) > RESIDUAL_VALIDATION_FACTOR
-                               * (1.0 + magnitude) for value, magnitude in sums):
-            return False
-    return True
-
-
-def _final_residuals(f, approximations, multiplicities):
+def _residual_sums(f, approximations, multiplicities):
+    """Per root, (f^(q)(x), its term magnitude) for q < alpha, or None when
+    x has left the basis domain or a value the float range."""
     out = []
     for x, alpha in zip(approximations, multiplicities):
-        sums = _residual_sums(f, x, alpha)
-        out.extend([math.inf] * int(alpha) if sums is None
-                   else [abs(value) for value, _ in sums])
+        try:
+            out.append([f.row_sums(row)
+                        for row in f.basis.rows(x, int(alpha) - 1)])
+        except (DomainError, OverflowError):
+            out.append(None)
+    return out
+
+
+def _residuals_validate(sums):
+    return all(root is not None and not any(
+        abs(value) > RESIDUAL_VALIDATION_FACTOR * (1.0 + magnitude)
+        for value, magnitude in root) for root in sums)
+
+
+def _final_residuals(sums, multiplicities):
+    out = []
+    for root, alpha in zip(sums, multiplicities):
+        out.extend([math.inf] * int(alpha) if root is None
+                   else [abs(value) for value, _ in root])
     return out
 
 
@@ -389,7 +391,7 @@ def solve(f, initial, multiplicities, settings=None):
 
     state = IterationState(approx.copy(), mult.copy())
     history = [state]
-    status = None
+    status = sums = None
 
     if not all(f.basis.contains(x) for x in state.approximations):
         status = SolveStatus.domain_escape
@@ -416,17 +418,19 @@ def solve(f, initial, multiplicities, settings=None):
             status = SolveStatus.domain_escape
             break
         if float(np.max(np.abs(corrections))) < settings.tolerance:
-            if _residuals_validate(f, new, mult):
+            sums = _residual_sums(f, new, mult)
+            if _residuals_validate(sums):
                 status = SolveStatus.converged
                 break
             # frozen at a point that is not a root of the claimed
             # multiplicities; keep stepping until the budget runs out
 
     final = history[-1]
+    if status is not SolveStatus.converged:
+        sums = _residual_sums(f, final.approximations, mult)
     return SolveReport(
         history=history,
         status=status,
         iterations_used=final.k,
-        final_residuals=_final_residuals(f, final.approximations,
-                                         final.multiplicities),
+        final_residuals=_final_residuals(sums, mult),
     )

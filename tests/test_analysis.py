@@ -21,7 +21,6 @@ from simroots import (
     q_value,
     richardson_derivative,
     solve,
-    write_diagnostics_csv,
 )
 from simroots.basis import BasisSystem, constant, power
 
@@ -193,13 +192,3 @@ def test_estimate_order_insufficient_history():
     with pytest.raises(InsufficientHistory):
         estimate_order(stalled, (0.5,))
 
-
-def test_write_diagnostics_csv(tmp_path):
-    path = tmp_path / "diag.csv"
-    write_diagnostics_csv(path, [("phi", 0.5, 1.25), ("order", "x_1", 2.4)])
-    text = path.read_text(encoding="utf-8")
-    assert text.splitlines() == [
-        "quantity,x_or_k,value",
-        "phi,0.5,1.25",
-        "order,x_1,2.4",
-    ]

@@ -10,9 +10,12 @@ from simroots import (
     InvalidConfiguration,
     RootConfiguration,
     SingularNodeSystem,
+    SolverSettings,
+    SolveStatus,
     build_matrix,
     constant,
     determinant,
+    exponential,
     expression,
     first_row_cofactors,
     from_roots,
@@ -21,6 +24,7 @@ from simroots import (
     q_derivative,
     q_value,
     sine,
+    solve,
 )
 
 
@@ -176,6 +180,61 @@ def test_coefficients_reference_roots_have_tiny_residuals():
     for x, alpha in cfg.nodes:
         for q in range(alpha):
             assert abs(f.eval(x, q)) < 1e-10
+
+
+def _normwise_residual(f, cfg):
+    """max |f^(q)(x_j)| / (||a||_inf ||row||_1) over the node rows of cfg."""
+    a = float(np.max(np.abs(f.coefficients)))
+    return max(abs(f.row_sums(row)[0]) / (a * float(np.sum(np.abs(row))))
+               for x, mult in cfg.nodes for row in f.basis.rows(x, mult - 1))
+
+
+_CONSTRUCTION_CASES = {
+    "monomial-%d" % n: (_monomials(n + 1), RootConfiguration(
+        tuple((x, 1) for x in np.linspace(-0.9, 0.9, n))))
+    for n in (8, 12, 16, 20)
+}
+_CONSTRUCTION_CASES["mixed-33222"] = (_monomials(13), RootConfiguration(
+    tuple(zip((-0.8, -0.4, 0.0, 0.4, 0.8), (3, 3, 2, 2, 2)))))
+_CONSTRUCTION_CASES["reference"] = (make_reference_basis(), RootConfiguration(
+    ((-0.5, 2), (3.0, 2))))
+
+
+@pytest.mark.parametrize("case", sorted(_CONSTRUCTION_CASES))
+def test_from_roots_residual_is_at_rounding_level(case):
+    # n+1 separately rounded minors left 2.7e-15 at n=12 and 2.8e-13 at
+    # n=20; the refined null vector stays near 1e-17
+    basis, cfg = _CONSTRUCTION_CASES[case]
+    assert _normwise_residual(from_roots(basis, cfg), cfg) <= 1e-16
+
+
+@pytest.mark.parametrize("basis,cfg", [
+    (make_reference_basis(), RootConfiguration(((-0.5, 2), (3.0, 2)))),
+    (_monomials(3), RootConfiguration(((1.0, 1), (2.0, 1)))),
+    (_monomials(5), RootConfiguration(((-0.7, 2), (0.4, 1), (1.1, 1)))),
+    (_monomials(7), RootConfiguration(
+        tuple((x, 1) for x in (-0.9, -0.5, -0.1, 0.3, 0.6, 0.9)))),
+])
+def test_first_row_cofactors_match_explicit_minors(basis, cfg):
+    block = np.vstack([basis.rows(x, mult - 1) for x, mult in cfg.nodes])
+    minors = np.array([(-1.0) ** j * determinant(np.delete(block, j, axis=1))
+                       for j in range(block.shape[1])])
+    got = first_row_cofactors(basis, cfg)
+    assert np.max(np.abs(got - minors)) <= 1e-13 * np.max(np.abs(minors))
+
+
+def test_from_roots_accepts_an_ill_scaled_basis():
+    # exp(30 x) reaches 3e19 on the nodes beside entries of order 1; the
+    # unscaled block's singular value ratio (1.3e-20) used to refuse it
+    basis = BasisSystem((constant(), power(1), power(2), exponential(30.0)))
+    cfg = RootConfiguration(((0.5, 1), (1.0, 1), (1.5, 1)))
+    f = from_roots(basis, cfg)
+    for method in ("method3", "method13"):
+        report = solve(f, (0.55, 0.95, 1.45), (1, 1, 1),
+                       SolverSettings(method=method))
+        assert report.status is SolveStatus.converged
+        assert report.history[-1].approximations == pytest.approx(
+            cfg.locations, abs=1e-13)
 
 
 def test_singular_node_system_detected():

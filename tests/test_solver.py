@@ -37,7 +37,7 @@ from simroots import (
 )
 from simroots import solver
 from simroots.basis import BasisSystem, constant, exponential, expression, power
-from simroots.confluent import node_null_vector
+from simroots.confluent import _node_block, node_null_vector
 from simroots.solver import METHODS, _compute_corrections, _step
 
 REFERENCE_ROOTS = RootConfiguration(((-0.5, 2), (3.0, 2)))
@@ -237,7 +237,7 @@ def test_rank_guard_ignores_the_scale_of_a_basis_function():
     # block is well posed, and the guard must not read it as singular
     system = BasisSystem((constant(), power(1), power(2), exponential(30.0)))
     roots = RootConfiguration(((0.5, 1), (1.0, 1), (1.5, 1)))
-    coefficients, _ = node_null_vector(system, roots)
+    coefficients, _ = node_null_vector(_node_block(system, roots))
     f = GeneralizedPolynomial(system, coefficients)
     for method in ("method3", "method13"):
         report = solve(f, (0.55, 0.95, 1.45), (1, 1, 1),
