@@ -419,7 +419,10 @@ def _column(b, x, top):
                 for p in orders]
     if b.kind in ("sine", "cosine"):
         trig = math.sin if b.kind == "sine" else math.cos
-        return [b.omega ** p * trig(b.omega * x + p * math.pi / 2.0)
+        phase = b.omega * x
+        if math.isinf(phase):  # where math.sin would raise ValueError
+            raise OverflowError("%s(%g x) overflows at %g" % (b.kind, b.omega, x))
+        return [b.omega ** p * trig(phase + p * math.pi / 2.0)
                 for p in orders]
     if b.kind == "exponential":
         e = math.exp(b.rate * x)

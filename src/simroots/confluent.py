@@ -208,7 +208,12 @@ def node_null_vector(block):
     scaled, _, column_exponents = _equilibrated(block)
     _, sv, vt = np.linalg.svd(scaled)
     ratio = float(sv[-1] / sv[0]) if sv[0] else 0.0
-    return np.ldexp(vt[-1], -column_exponents), ratio
+    exponents = -column_exponents
+    if exponents.max() > 512:
+        # a column below 2^-512 could carry c past the float range; c's
+        # scale is free, so bring its largest entry into [0.5, 1) instead
+        exponents -= int(np.max(np.frexp(vt[-1])[1] + exponents))
+    return np.ldexp(vt[-1], exponents), ratio
 
 
 def q_value(basis, cfg, i, x):

@@ -19,9 +19,10 @@ then an arbitrary direction.  For a pure monomial basis the ratio
 Q'/((alpha+1) Q) equals the pairwise sum monomial_shortcut, which is the
 ehrlich form's stand-in for it.
 
-A sweep reads all basis values from one BasisSystem.rows(x_i, top_i) per
-root: rows 0 .. alpha_i - 1 stack into B; f^(p), its noise floor and the
-probe rows come from the same array.
+Every correction reads one snapshot, which only _snapshot builds: the
+input and collision checks, one BasisSystem.rows(x_i, top_i) per root, and
+either the null vector of B (rows 0 .. alpha_i - 1 of each root, stacked)
+or the ehrlich pairwise sums; f^(p) and the probe rows share those rows.
 """
 
 import math
@@ -95,12 +96,17 @@ class IterationState:
 
     def __post_init__(self):
         self.approximations = np.asarray(self.approximations, dtype=float)
-        self.multiplicities = np.asarray(self.multiplicities, dtype=int)
-        if len(self.approximations) != len(self.multiplicities):
+        mult = np.asarray(self.multiplicities, dtype=float)
+        if len(self.approximations) != len(mult):
             raise DimensionMismatch(
                 "%d approximations but %d multiplicities"
-                % (len(self.approximations), len(self.multiplicities))
+                % (len(self.approximations), len(mult))
             )
+        if not all(m >= 1 and m.is_integer() for m in mult.tolist()):
+            raise InvalidConfiguration(
+                "multiplicities must be positive integers, got %r"
+                % (self.multiplicities,))
+        self.multiplicities = mult.astype(int)
 
     def configuration(self):
         return RootConfiguration(
@@ -119,7 +125,8 @@ class SolveReport:
 def _check_collisions(xs, base_threshold):
     """Raise IterateCollision for the first pair i < j, in row order, with
     |x_i - x_j| <= base_threshold * (1 + max(|x_i|, |x_j|))."""
-    gap = np.abs(xs[:, None] - xs)
+    with np.errstate(over="ignore"):  # an inf gap is no collision
+        gap = np.abs(xs[:, None] - xs)
     limit = base_threshold * (1.0 + np.maximum.outer(np.abs(xs), np.abs(xs)))
     hits = np.argwhere(np.triu(gap <= limit, 1))
     if len(hits):
@@ -144,7 +151,8 @@ def is_monomial_basis(basis):
 def _pairwise_sums(xs, mult):
     """sum over j != i of mult_j / (xs_i - xs_j) for every i, xs distinct;
     each an exactly rounded math.fsum, so the order of terms is moot."""
-    quotients = mult / (xs[:, None] - xs + np.eye(len(xs)))
+    with np.errstate(over="ignore"):  # an inf gap adds a zero quotient
+        quotients = mult / (xs[:, None] - xs + np.eye(len(xs)))
     np.fill_diagonal(quotients, 0.0)
     return [math.fsum(row) for row in quotients.tolist()]
 
@@ -155,16 +163,15 @@ def monomial_shortcut(state, i, collision_threshold=1e-12):
     For the monomial basis this equals Q'/((alpha+1) Q) at x_i exactly, so
     the determinant pair can be skipped.
     """
-    xs = state.approximations
-    _check_collisions(xs, collision_threshold)
-    return _pairwise_sums(xs, state.multiplicities)[i]
+    _check_collisions(state.approximations, collision_threshold)
+    return _pairwise_sums(state.approximations, state.multiplicities)[i]
 
 
-def _q_ratio(f, cfg, i, x, factor, denominator_floor, null=None, probe=None):
+def _q_ratio(null, probe, i, x, factor, denominator_floor):
     """Q'(x) / (factor * Q(x)) from the null vector of the node block.
 
-    null is node_null_vector of cfg's node block and probe the basis rows of
-    orders alpha_i and alpha_i + 1 at x, each built here unless given.
+    null is node_null_vector of the node block and probe the basis rows of
+    orders alpha_i and alpha_i + 1 at x, the probe point of root i.
     With r_p the probe row of order p at x, Q = kappa (r_alpha . c)
     and Q' = kappa (r_{alpha+1} . c), so kappa cancels and each is one
     compensated dot product.  Two guards raise DegenerateDenominator, and
@@ -177,18 +184,12 @@ def _q_ratio(f, cfg, i, x, factor, denominator_floor, null=None, probe=None):
       cancellation rather than on the overall magnitude of an ill-scaled
       node block.
     """
-    basis = f.basis
-    if null is None:
-        null = node_null_vector(_node_block(basis, cfg))
     c, rank_ratio = null
     if rank_ratio <= denominator_floor:
         raise DegenerateDenominator(
             "node block singular value ratio %.3e is at most %g"
             % (rank_ratio, denominator_floor)
         )
-    if probe is None:
-        alpha = cfg.nodes[i][1]
-        probe = basis.rows(x, alpha + 1)[alpha:]
     terms = c * probe[0]
     q = math.fsum(terms)
     scale = float(np.sum(np.abs(terms)))
@@ -208,7 +209,9 @@ def method3_denominator(f, cfg, i, x, denominator_floor=1e-14):
     (alpha_i + 1) Q(x) reproduces the psi evaluator.
     """
     alpha = cfg.nodes[i][1]
-    ratio = _q_ratio(f, cfg, i, x, alpha + 1.0, denominator_floor)
+    null = node_null_vector(_node_block(f.basis, cfg))
+    probe = f.basis.rows(x, alpha + 1)[alpha:]
+    ratio = _q_ratio(null, probe, i, x, alpha + 1.0, denominator_floor)
     return f.eval(x, 1) - f.eval(x, 0) * ratio
 
 
@@ -229,21 +232,51 @@ def _top_order(method, alpha):
     return 1 if method == "ehrlich" else int(alpha) + 1
 
 
-def single_correction(f, state, i, settings, null=None, rows=None, shift=None):
+def _check_inputs(f, multiplicities, settings):
+    """DimensionMismatch unless the multiplicities sum to the basis degree;
+    InvalidConfiguration for ehrlich off the monomial basis, or when the
+    method needs derivatives above the basis cap."""
+    if int(multiplicities.sum()) != len(f.basis) - 1:
+        raise DimensionMismatch(
+            "multiplicities sum to %d but the basis supports degree %d"
+            % (int(multiplicities.sum()), len(f.basis) - 1))
+    if settings.method == "ehrlich" and not is_monomial_basis(f.basis):
+        raise InvalidConfiguration("ehrlich needs the monomial basis")
+    order = _top_order(settings.method, multiplicities.max(initial=1))
+    if order > f.basis.derivative_cap:
+        raise InvalidConfiguration(
+            "%s needs derivatives of order %d but the basis caps them at %d"
+            % (settings.method, order, f.basis.derivative_cap))
+
+
+def _snapshot(f, state, settings):
+    """Checks the inputs and collisions, then returns (rows, null, shifts):
+    rows[i] = f.basis.rows(x_i, top_i), with null = node_null_vector of the
+    node block (method3, method13) or shifts = the pairwise sums (ehrlich)."""
+    xs, mult = state.approximations, state.multiplicities
+    _check_inputs(f, mult, settings)
+    _check_collisions(xs, settings.collision_threshold)
+    rows = [f.basis.rows(float(x), _top_order(settings.method, a))
+            for x, a in zip(xs, mult)]
+    if settings.method == "ehrlich":
+        return rows, None, _pairwise_sums(xs, mult)
+    block = np.vstack([r[:a] for r, a in zip(rows, mult)])
+    return rows, node_null_vector(block), None
+
+
+def single_correction(f, state, i, settings, snapshot=None):
     """Correction for root index i from the current snapshot.
 
-    A sweep passes what it builds once: null = node_null_vector, rows =
-    f.basis.rows(x_i, top_i) and, for ehrlich, shift = monomial_shortcut;
-    each is built from the snapshot when not given.  Pure in all
-    arguments, so calls for different i may run in any order or
-    concurrently and produce identical values.
+    A sweep passes the _snapshot it builds once; a call without one builds
+    it here.  Pure in all arguments, so calls for different i may run in
+    any order or concurrently and produce identical values.
     """
+    all_rows, null, shifts = snapshot or _snapshot(f, state, settings)
+    rows = all_rows[i]
     x = float(state.approximations[i])
     alpha = int(state.multiplicities[i])
     method = settings.method
     floor = settings.denominator_floor
-    if rows is None:
-        rows = f.basis.rows(x, _top_order(method, alpha))
     # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
     p = alpha - 1 if method == "method13" else 0
     fp, magnitude = f.row_sums(rows[p])
@@ -251,17 +284,13 @@ def single_correction(f, state, i, settings, null=None, rows=None, shift=None):
         # a root hit, or a residual of pure rounding noise: hold position
         return 0.0
     if method == "ehrlich":
-        if shift is None:
-            shift = monomial_shortcut(state, i, settings.collision_threshold)
-        return _guarded_quotient(
-            float(alpha), f.row_sums(rows[1])[0] / fp, shift, floor, "ehrlich")
+        return _guarded_quotient(float(alpha), f.row_sums(rows[1])[0] / fp,
+                                 shifts[i], floor, "ehrlich")
     if method == "method3":
         numerator, factor = alpha * fp, alpha + 1.0
     else:
         numerator, factor = fp, 2.0
-    # the configuration is read only to build a null vector not given
-    cfg = state.configuration() if null is None else None
-    ratio = _q_ratio(f, cfg, i, x, factor, floor, null, rows[alpha:alpha + 2])
+    ratio = _q_ratio(null, rows[alpha:alpha + 2], i, x, factor, floor)
     return _guarded_quotient(
         numerator, f.row_sums(rows[p + 1])[0], fp * ratio, floor, method)
 
@@ -269,25 +298,13 @@ def single_correction(f, state, i, settings, null=None, rows=None, shift=None):
 def _compute_corrections(f, state, settings, map_=map):
     """Corrections for every root index of the snapshot, in index order.
 
-    map_ applies the per-root correction over the indices: the builtin
-    map runs them in turn, an executor's map concurrently.  Each root's
-    basis rows, the collision check, the node null vector and the ehrlich
-    pairwise sums are formed once here.
+    map_ runs single_correction over the indices with one shared _snapshot:
+    the builtin map in turn, an executor's map concurrently.
     """
-    xs, mult = state.approximations, state.multiplicities
-    _check_collisions(xs, settings.collision_threshold)
-    rows = [f.basis.rows(float(x), _top_order(settings.method, a))
-            for x, a in zip(xs, mult)]
-    null, shifts = None, [None] * len(xs)
-    if settings.method == "ehrlich":
-        shifts = _pairwise_sums(xs, mult)
-    else:
-        block = np.vstack([r[:a] for r, a in zip(rows, mult)])
-        null = node_null_vector(block)
+    snapshot = _snapshot(f, state, settings)
     return np.array(list(map_(
-        lambda i: single_correction(f, state, i, settings, null, rows[i],
-                                    shifts[i]),
-        range(len(xs)))))
+        lambda i: single_correction(f, state, i, settings, snapshot),
+        range(len(state.approximations)))))
 
 
 def parallel_corrections(f, state, settings, max_workers=None):
@@ -303,7 +320,8 @@ def parallel_corrections(f, state, settings, max_workers=None):
 
 def _step(f, state, settings):
     corrections = _compute_corrections(f, state, settings)
-    return state.approximations - corrections, corrections
+    with np.errstate(over="ignore"):  # an inf iterate ends in domain_escape
+        return state.approximations - corrections, corrections
 
 
 def step_method3(f, state, settings=None):
@@ -317,13 +335,8 @@ def step_method13(f, state, settings=None):
 
 
 def ehrlich_step(f, state, settings=None):
-    """One total-step sweep of the classical algebraic iteration.
-
-    Requires the ordered monomial basis; the pairwise shortcut sum stands
-    in for the determinant ratio.
-    """
-    if not is_monomial_basis(f.basis):
-        raise InvalidConfiguration("ehrlich steps need the monomial basis")
+    """One total-step sweep of the classical algebraic iteration; on the
+    monomial basis only, where the pairwise sums stand in for Q'/Q."""
     return _step(f, state, _with_method(settings, "ehrlich"))[0]
 
 
@@ -363,33 +376,15 @@ def solve(f, initial, multiplicities, settings=None):
     below tolerance, the iteration budget runs out, or a guard fires.
 
     Guards never raise out of this function; they land in report.status.
-    The report history includes the initial snapshot, so its length is
+    Inputs no sweep can iterate raise DimensionMismatch or
+    InvalidConfiguration (see IterationState and _check_inputs).  The
+    report history includes the initial snapshot, so its length is
     iterations_used + 1.
     """
-    if settings is None:
-        settings = SolverSettings()
-    approx = np.asarray(initial, dtype=float)
-    mult = np.asarray(multiplicities, dtype=int)
-    if len(approx) != len(mult):
-        raise DimensionMismatch(
-            "%d initial approximations but %d multiplicities"
-            % (len(approx), len(mult))
-        )
-    if int(mult.sum()) != len(f.basis) - 1:
-        raise DimensionMismatch(
-            "multiplicities sum to %d but the basis supports degree %d"
-            % (int(mult.sum()), len(f.basis) - 1)
-        )
-    if settings.method == "ehrlich" and not is_monomial_basis(f.basis):
-        raise InvalidConfiguration("ehrlich needs the monomial basis")
-    order = _top_order(settings.method, mult.max())
-    if order > f.basis.derivative_cap:
-        raise InvalidConfiguration(
-            "%s needs derivatives of order %d but the basis caps them at %d"
-            % (settings.method, order, f.basis.derivative_cap)
-        )
-
-    state = IterationState(approx.copy(), mult.copy())
+    settings = settings or SolverSettings()
+    state = IterationState(np.array(initial, dtype=float), multiplicities)
+    mult = state.multiplicities
+    _check_inputs(f, mult, settings)
     history = [state]
     status = sums = None
 
@@ -412,7 +407,7 @@ def solve(f, initial, multiplicities, settings=None):
             # an evaluation left the basis domain or the float range
             status = SolveStatus.domain_escape
             break
-        state = IterationState(new, mult.copy(), state.k + 1, corrections)
+        state = IterationState(new, mult, state.k + 1, corrections)
         history.append(state)
         if not all(f.basis.contains(x) for x in new):
             status = SolveStatus.domain_escape
@@ -428,9 +423,4 @@ def solve(f, initial, multiplicities, settings=None):
     final = history[-1]
     if status is not SolveStatus.converged:
         sums = _residual_sums(f, final.approximations, mult)
-    return SolveReport(
-        history=history,
-        status=status,
-        iterations_used=final.k,
-        final_residuals=_final_residuals(sums, mult),
-    )
+    return SolveReport(history, status, final.k, _final_residuals(sums, mult))

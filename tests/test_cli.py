@@ -233,6 +233,14 @@ def test_rejection_messages_name_the_field(tmp_path, capsys):
             polynomial={"roots": [{"x": 1, "multiplicity": 1},
                                   {"x": 2, "multiplicity": 1}]},
             initial=[0.9, 2.1], multiplicities=[1, 1])),
+        # sin(3 x) and cos(3 x) at a root of 1e308 overflow their argument
+        ("polynomial", dict(
+            REFERENCE_PROBLEM,
+            basis=[{"kind": "constant"}, {"kind": "sine", "omega": 3},
+                   {"kind": "cosine", "omega": 3}],
+            polynomial={"roots": [{"x": 1e308, "multiplicity": 1},
+                                  {"x": 0.3, "multiplicity": 1}]},
+            initial=[1e308, 0.35], multiplicities=[1, 1])),
     ]
     for field, doc in cases:
         problem = _write_problem(tmp_path, doc)

@@ -26,6 +26,7 @@ from simroots import (
     sine,
     solve,
 )
+from simroots.confluent import _node_block, node_null_vector
 
 
 def _monomials(count):
@@ -276,3 +277,14 @@ def test_non_finite_node_block_is_refused():
         first_row_cofactors(basis, cfg)
     with pytest.raises(OverflowError):
         from_roots(basis, cfg)
+
+
+def test_null_vector_of_a_block_with_a_subnormal_column_is_finite():
+    # at x = 6.7e-313 the x^3 column holds only 6x, about 2^-1034, and
+    # undoing its column scale used to overflow c to inf
+    x = 6.67522157557e-313
+    block = _node_block(_monomials(4), RootConfiguration(((x, 3),)))
+    c, ratio = node_null_vector(block)
+    assert np.all(np.isfinite(c)) and ratio > 0.0
+    assert c[3] != 0.0
+    assert np.max(np.abs(block @ c)) <= 1e-15 * np.max(np.abs(c))

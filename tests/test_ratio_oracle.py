@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from simroots import (
-    GeneralizedPolynomial,
     RootConfiguration,
     build_matrix,
     make_reference_basis,
@@ -20,6 +19,7 @@ from simroots import (
     q_value,
 )
 from simroots.basis import BasisSystem, constant, power
+from simroots.confluent import _node_block, node_null_vector
 from simroots.solver import _q_ratio
 
 mp = pytest.importorskip("mpmath")
@@ -66,11 +66,12 @@ def _relative_error(value, exact):
 def test_null_vector_ratio_against_the_oracle(name):
     basis, nodes = CASES[name]
     cfg = RootConfiguration(nodes)
-    f = GeneralizedPolynomial(basis, np.ones(len(basis)))
+    null = node_null_vector(_node_block(basis, cfg))
     null_error = pivoted_error = 0.0
-    for i, (x, _) in enumerate(cfg.nodes):
+    for i, (x, alpha) in enumerate(cfg.nodes):
         exact = _oracle_ratio(basis, cfg, i, x)
-        null_ratio = _q_ratio(f, cfg, i, x, 1.0, 1e-14)
+        probe = basis.rows(x, alpha + 1)[alpha:]
+        null_ratio = _q_ratio(null, probe, i, x, 1.0, 1e-14)
         pivoted_ratio = q_derivative(basis, cfg, i, x) / q_value(basis, cfg, i, x)
         null_error = max(null_error, _relative_error(null_ratio, exact))
         pivoted_error = max(pivoted_error, _relative_error(pivoted_ratio, exact))

@@ -36,7 +36,8 @@ from simroots import (
     step_method13,
 )
 from simroots import solver
-from simroots.basis import BasisSystem, constant, exponential, expression, power
+from simroots.basis import (BasisSystem, constant, cosine, exponential,
+                            expression, power, sine)
 from simroots.confluent import _node_block, node_null_vector
 from simroots.solver import METHODS, _compute_corrections, _step
 
@@ -485,6 +486,109 @@ def test_dimension_checks(reference_problem):
         solve(f, (0.1, 0.2), (1, 1))
     with pytest.raises(DimensionMismatch):
         IterationState(np.array([0.0, 1.0]), np.array([1]))
+
+
+def _raised_by_every_entry_point(f, state, settings):
+    """The exception type each correction entry point raises on state,
+    one entry per root index for the standalone call."""
+    def raised(call):
+        with pytest.raises(Exception) as info:
+            call()
+        return info.type
+
+    standalone = {raised(lambda: single_correction(f, state, i, settings))
+                  for i in range(len(state.approximations))}
+    return standalone | {
+        raised(lambda: _compute_corrections(f, state, settings)),
+        raised(lambda: parallel_corrections(f, state, settings)),
+    }
+
+
+def test_wrong_multiplicity_sum_is_refused_by_every_entry_point():
+    f = from_roots(_monomials(5), RootConfiguration(
+        ((-0.5, 2), (0.3, 1), (0.8, 1))))
+    state = IterationState(np.array([-0.45, 0.32, 0.79]), np.array([1, 1, 1]))
+    for method in METHODS:
+        settings = SolverSettings(method=method)
+        assert _raised_by_every_entry_point(f, state, settings) \
+            == {DimensionMismatch}, method
+
+
+def test_colliding_iterates_are_refused_by_every_entry_point():
+    f = from_roots(_monomials(5), RootConfiguration(
+        ((-0.5, 2), (0.3, 1), (0.8, 1))))
+    for second in (-0.45 + 1e-14, -0.45):
+        state = IterationState(np.array([-0.45, second, 0.79]),
+                               np.array([1, 1, 2]))
+        for method in METHODS:
+            settings = SolverSettings(method=method)
+            assert _raised_by_every_entry_point(f, state, settings) \
+                == {IterateCollision}, (second, method)
+
+
+def test_ehrlich_off_the_monomial_basis_is_refused_by_every_entry_point(
+        reference_problem):
+    _, f = reference_problem
+    state = IterationState(np.array(REFERENCE_INITIAL),
+                           np.array(REFERENCE_MULTIPLICITIES))
+    settings = SolverSettings(method="ehrlich")
+    assert _raised_by_every_entry_point(f, state, settings) \
+        == {InvalidConfiguration}
+
+
+def test_sine_and_cosine_of_an_overflowed_argument_land_in_domain_escape():
+    # 3 * 1e308 overflows to inf, and math.sin(inf) raised ValueError
+    system = BasisSystem((constant(), sine(3.0), cosine(3.0)))
+    f = GeneralizedPolynomial(system, np.array([0.5, 1.0, 0.2]))
+    for method in ("method3", "method13"):
+        report = solve(f, (1e308, 0.3), (1, 1), SolverSettings(method=method))
+        assert report.status is SolveStatus.domain_escape
+        assert report.iterations_used == 0
+        assert report.final_residuals[0] == float("inf")
+
+
+def test_iterates_at_opposite_ends_of_the_float_range_warn_nothing():
+    # x_i - x_j overflows to inf in the collision check and the pairwise
+    # sums, and a step can carry an iterate past the float range; these
+    # infinities are meant, and with warnings as errors they used to raise
+    f = from_roots(_monomials(4), RootConfiguration(
+        ((-0.5, 1), (0.3, 1), (0.8, 1))))
+    for method in METHODS:
+        report = solve(f, (1e308, 0.5, -1e308), (1, 1, 1),
+                       SolverSettings(method=method))
+        assert report.status is SolveStatus.domain_escape, method
+        # alone, the entry points reach the rows, where x^3 overflows
+        state = IterationState(np.array([1e308, 0.5, -1e308]), [1, 1, 1])
+        settings = SolverSettings(method=method)
+        assert _raised_by_every_entry_point(f, state, settings) \
+            == {OverflowError}, method
+    # exp(r x) with r = 2^-1022 steps by -1/r = -4.5e307 every sweep
+    g = GeneralizedPolynomial(
+        BasisSystem((constant(), exponential(2.0 ** -1022))),
+        np.array([0.0, 1.0]))
+    report = solve(g, (0.0,), (1,))
+    assert report.status is SolveStatus.domain_escape
+    assert report.history[-1].approximations[0] == -math.inf
+
+
+@pytest.mark.parametrize("initial, multiplicities", [
+    ((-0.4, 2.8), (2.5, 2.5)),
+    ((-0.4, 0.0, 2.8), (0, 2, 2)),
+    ((-0.4, 0.0, 2.8), (-1, 3, 2)),
+    ((-0.4, 2.8), (0, 4)),
+    ((-0.4, 2.8), (float("nan"), 2)),
+])
+def test_multiplicities_that_cannot_be_iterated_are_refused(
+        reference_problem, initial, multiplicities):
+    _, f = reference_problem
+    with pytest.raises(InvalidConfiguration):
+        IterationState(np.array(initial), multiplicities)
+    for method in ("method3", "method13"):
+        with pytest.raises(InvalidConfiguration):
+            solve(f, initial, multiplicities, SolverSettings(method=method))
+    # integral floats are multiplicities too
+    state = IterationState(np.array([-0.4, 2.8]), (2.0, 2.0))
+    assert state.multiplicities.tolist() == [2, 2]
 
 
 def test_iteration_state_configuration_round_trip():
