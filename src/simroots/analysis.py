@@ -30,39 +30,38 @@ class OrderEstimate:
     method: str = "log-ratio"
 
 
-def _true_root(f, i, override):
-    if override is not None:
-        return float(override)
+def _construction_roots(f):
     if f.construction_roots is None:
         raise InvalidConfiguration(
             "the polynomial does not carry construction roots; "
-            "pass true_root explicitly"
+            "build it with from_roots or pass true_root explicitly"
         )
-    return f.construction_roots.nodes[i][0]
+    return f.construction_roots
 
 
-def eval_phi(f, basis, iterate_cfg, i, x, true_root=None):
+def eval_phi(f, iterate_cfg, i, x, true_root=None):
     """The expanded correction numerator at x for root index i.
 
     The true root location is taken from the polynomial's construction
-    roots unless given explicitly.
+    roots unless given explicitly; Q is built on f's basis.
     """
-    xi = _true_root(f, i, true_root)
+    xi = (float(true_root) if true_root is not None
+          else _construction_roots(f).nodes[i][0])
     alpha = iterate_cfg.nodes[i][1]
     fx = f.eval(x, 0)
     fpx = f.eval(x, 1)
-    q = q_value(basis, iterate_cfg, i, x)
-    qp = q_derivative(basis, iterate_cfg, i, x)
+    q = q_value(f.basis, iterate_cfg, i, x)
+    qp = q_derivative(f.basis, iterate_cfg, i, x)
     return (alpha + 1.0) * ((x - xi) * fpx - alpha * fx) * q - (x - xi) * fx * qp
 
 
-def eval_psi(f, basis, iterate_cfg, i, x):
+def eval_psi(f, iterate_cfg, i, x):
     """The expanded correction denominator at x for root index i."""
     alpha = iterate_cfg.nodes[i][1]
     fx = f.eval(x, 0)
     fpx = f.eval(x, 1)
-    q = q_value(basis, iterate_cfg, i, x)
-    qp = q_derivative(basis, iterate_cfg, i, x)
+    q = q_value(f.basis, iterate_cfg, i, x)
+    qp = q_derivative(f.basis, iterate_cfg, i, x)
     return (alpha + 1.0) * fpx * q - fx * qp
 
 
@@ -75,11 +74,13 @@ def finite_difference_derivative(fun, x, q, h):
     return total / h ** q
 
 
-def richardson_derivative(fun, x, q, h=1e-2):
+def richardson_derivative(fun, x, q):
     """Two-level Richardson extrapolation of the central stencil.
 
-    Uses step sizes h, h/2, h/4, eliminating the h^2 and h^4 error terms.
+    Uses step sizes h, h/2, h/4 with h = 1e-2, eliminating the h^2 and
+    h^4 error terms.
     """
+    h = 1e-2
     d1 = finite_difference_derivative(fun, x, q, h)
     d2 = finite_difference_derivative(fun, x, q, h / 2.0)
     d3 = finite_difference_derivative(fun, x, q, h / 4.0)
@@ -88,24 +89,22 @@ def richardson_derivative(fun, x, q, h=1e-2):
     return (16.0 * r2 - r1) / 15.0
 
 
-def check_derivative_congruence(f, basis, true_cfg, scale,
-                                deltas=(1e-2, 1e-3, 1e-4), probe_grid=None):
+def check_derivative_congruence(f):
     """Deviation table of Q_i against scale * f^(alpha_i) under node shifts.
 
-    Every node of true_cfg is moved by +delta; the reported deviation is
-    the sup over all root indices and the probe grid of
-    |Q_i(x) - scale * f^(alpha_i)(x)|.  A zero-shift row comes first: at
-    the exact nodes the two quantities agree to rounding, and the
-    deviation grows at most linearly in the shift.
-
-    scale is the factor relating f's (normalized) coefficients to the raw
-    cofactors; from_roots stores it as construction_scale.
+    Every construction root of f is moved by +delta, delta in 0, 1e-2,
+    1e-3, 1e-4; the deviation is the sup over all root indices and a
+    25-point probe grid of |Q_i(x) - scale * f^(alpha_i)(x)|, with scale
+    = f.construction_scale.  At the exact nodes the two quantities agree
+    to rounding, and the deviation grows at most linearly in the shift.
+    Raises InvalidConfiguration when f carries no construction roots.
     """
-    if probe_grid is None:
-        locs = true_cfg.locations
-        probe_grid = np.linspace(min(locs) - 0.5, max(locs) + 0.5, 25)
+    true_cfg = _construction_roots(f)
+    basis, scale = f.basis, f.construction_scale
+    locs = true_cfg.locations
+    probe_grid = np.linspace(min(locs) - 0.5, max(locs) + 0.5, 25)
     table = []
-    for delta in (0.0,) + tuple(deltas):
+    for delta in (0.0, 1e-2, 1e-3, 1e-4):
         shifted = RootConfiguration(
             tuple((loc + delta, m) for loc, m in true_cfg.nodes)
         )

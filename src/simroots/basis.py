@@ -346,8 +346,6 @@ class BasisFunction:
         Exponent rate for the exponential kind.
     tree : tuple or None
         Parsed expression tree for the expression kind.
-    source : str or None
-        Original expression text, kept for serialization.
     derivative_cap : int
         Highest derivative order guaranteed accurate.
     """
@@ -357,7 +355,6 @@ class BasisFunction:
     omega: float = 0.0
     rate: float = 0.0
     tree: tuple | None = None
-    source: str | None = None
     derivative_cap: int = CATALOG_CAP
 
 
@@ -389,15 +386,8 @@ def inverse_quadratic():
 
 def expression(source, derivative_cap=EXPRESSION_CAP):
     """Build an expression-kind basis function from infix source text."""
-    if isinstance(source, str):
-        tree = parse_expression(source)
-        text = source
-    else:
-        tree = source
-        text = None
-    return BasisFunction(
-        "expression", tree=tree, source=text, derivative_cap=int(derivative_cap)
-    )
+    return BasisFunction("expression", tree=parse_expression(source),
+                         derivative_cap=int(derivative_cap))
 
 
 def _column(b, x, top):

@@ -35,7 +35,8 @@ from .solver import (
     solve,
 )
 
-DEFAULT_SETTINGS = {"tolerance": 1e-11, "max_iterations": 50}
+DEFAULT_SETTINGS = {"tolerance": SolverSettings.tolerance,
+                    "max_iterations": SolverSettings.max_iterations}
 
 
 class Problem:

@@ -27,6 +27,17 @@ from .errors import (
 SINGULARITY_RELATIVE_THRESHOLD = 1e-12
 
 
+def positive_integers(multiplicities):
+    """The multiplicities as a list of ints.  Raises InvalidConfiguration
+    unless each is a positive integer; integral floats such as 2.0 pass."""
+    values = np.asarray(multiplicities, dtype=float).tolist()
+    if not all(m >= 1 and m.is_integer() for m in values):
+        raise InvalidConfiguration(
+            "multiplicities must be positive integers, got %r"
+            % (multiplicities,))
+    return [int(m) for m in values]
+
+
 @dataclass(frozen=True)
 class RootConfiguration:
     """Node/multiplicity pairs (x_j, alpha_j), used both for exact roots
@@ -35,13 +46,13 @@ class RootConfiguration:
     nodes: tuple
 
     def __post_init__(self):
-        normalized = tuple((float(x), int(m)) for x, m in self.nodes)
+        multiplicities = positive_integers([m for _, m in self.nodes])
+        normalized = tuple((float(x), m)
+                           for (x, _), m in zip(self.nodes, multiplicities))
         object.__setattr__(self, "nodes", normalized)
         locations = [x for x, _ in normalized]
         if len(set(locations)) != len(locations):
             raise InvalidConfiguration("node locations must be pairwise distinct")
-        if any(m < 1 for _, m in normalized):
-            raise InvalidConfiguration("multiplicities must be positive integers")
 
     @property
     def total_degree(self):
@@ -57,14 +68,6 @@ class RootConfiguration:
 
     def __len__(self):
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class ConfluentMatrix:
-    """Square matrix of basis derivatives: one probe row, then the node
-    rows of orders 0 .. alpha_j - 1 for each node in turn."""
-
-    entries: np.ndarray
 
 
 def _node_block(basis, cfg):
@@ -95,24 +98,25 @@ def build_matrix(basis, cfg, probe, first_row_order):
 
     Returns
     -------
-    ConfluentMatrix
+    numpy.ndarray
+        One probe row, then the node rows of orders 0 .. alpha_j - 1 for
+        each node in turn.
     """
     block = _node_block(basis, cfg)
     first = basis.rows(probe, first_row_order)[first_row_order]
-    return ConfluentMatrix(np.vstack([first, block]))
+    return np.vstack([first, block])
 
 
 def determinant(matrix):
     """Determinant by row-pivoted triangular elimination.
 
-    Accepts a ConfluentMatrix or any square array.  Returns 0.0 for an
+    Accepts any square array.  Returns 0.0 for an
     exactly singular matrix; callers apply their own magnitude thresholds.
     Entries are eliminated in place on a copy, with the sign tracked
     through row swaps.  Fine for the small dimensions used here; growth
     can overflow for dimensions in the hundreds.
     """
-    a = matrix.entries if isinstance(matrix, ConfluentMatrix) else matrix
-    a = np.array(a, dtype=float)
+    a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise DimensionMismatch("determinant needs a square matrix")

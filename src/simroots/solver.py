@@ -16,8 +16,8 @@ Q'/Q is (r_{alpha+1} . c) / (r_alpha . c): one SVD of B per sweep
 (confluent.node_null_vector) serves all roots and both probe orders.  A
 rank guard stops the solve when B is numerically singular, because c is
 then an arbitrary direction.  For a pure monomial basis the ratio
-Q'/((alpha+1) Q) equals the pairwise sum monomial_shortcut, which is the
-ehrlich form's stand-in for it.
+Q'/((alpha+1) Q) equals the pairwise sum sum_{j != i} alpha_j/(x_i - x_j)
+(_pairwise_sums), which is the ehrlich form's stand-in for it.
 
 Every correction reads one snapshot, which only _snapshot builds: the
 input and collision checks, one BasisSystem.rows(x_i, top_i) per root, and
@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .confluent import RootConfiguration, _node_block, node_null_vector
+from .confluent import node_null_vector, positive_integers
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -42,6 +42,11 @@ from .errors import (
 )
 
 EPS = float(np.finfo(float).eps)
+
+# Relative floor of every denominator guard: the node block's rank, |Q|
+# against its terms, and each correction's denominator against its terms.
+DENOMINATOR_FLOOR = 1e-14
+COLLISION_THRESHOLD = 1e-12  # relative to 1 + max(|x_i|, |x_j|)
 
 # Residuals below this multiple of the rounding magnitude of the summed
 # coefficient-basis products carry no positional information; stepping on
@@ -69,20 +74,17 @@ class SolverSettings:
     method: str = "method3"
     tolerance: float = 1e-11
     max_iterations: int = 50
-    denominator_floor: float = 1e-14
-    collision_threshold: float = 1e-12
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidConfiguration(
                 "unknown method %r (known: %s)"
                 % (self.method, ", ".join(METHODS)))
-        if self.tolerance <= 0.0:
-            raise InvalidConfiguration("tolerance must be positive")
-        if self.denominator_floor <= 0.0:
-            raise InvalidConfiguration("denominator_floor must be positive")
-        if self.max_iterations < 1:
-            raise InvalidConfiguration("max_iterations must be at least 1")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InvalidConfiguration("tolerance must be positive and finite")
+        if isinstance(self.max_iterations, bool) or not isinstance(
+                self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise InvalidConfiguration("max_iterations must be a positive integer")
 
 
 @dataclass
@@ -96,22 +98,13 @@ class IterationState:
 
     def __post_init__(self):
         self.approximations = np.asarray(self.approximations, dtype=float)
-        mult = np.asarray(self.multiplicities, dtype=float)
-        if len(self.approximations) != len(mult):
+        if len(self.approximations) != len(self.multiplicities):
             raise DimensionMismatch(
                 "%d approximations but %d multiplicities"
-                % (len(self.approximations), len(mult))
+                % (len(self.approximations), len(self.multiplicities))
             )
-        if not all(m >= 1 and m.is_integer() for m in mult.tolist()):
-            raise InvalidConfiguration(
-                "multiplicities must be positive integers, got %r"
-                % (self.multiplicities,))
-        self.multiplicities = mult.astype(int)
-
-    def configuration(self):
-        return RootConfiguration(
-            tuple(zip(self.approximations.tolist(), self.multiplicities.tolist()))
-        )
+        self.multiplicities = np.array(
+            positive_integers(self.multiplicities), dtype=int)
 
 
 @dataclass
@@ -122,12 +115,12 @@ class SolveReport:
     final_residuals: list
 
 
-def _check_collisions(xs, base_threshold):
+def _check_collisions(xs):
     """Raise IterateCollision for the first pair i < j, in row order, with
-    |x_i - x_j| <= base_threshold * (1 + max(|x_i|, |x_j|))."""
+    |x_i - x_j| <= COLLISION_THRESHOLD * (1 + max(|x_i|, |x_j|))."""
     with np.errstate(over="ignore"):  # an inf gap is no collision
         gap = np.abs(xs[:, None] - xs)
-    limit = base_threshold * (1.0 + np.maximum.outer(np.abs(xs), np.abs(xs)))
+    limit = COLLISION_THRESHOLD * (1.0 + np.maximum.outer(np.abs(xs), np.abs(xs)))
     hits = np.argwhere(np.triu(gap <= limit, 1))
     if len(hits):
         i, j = hits[0]
@@ -157,17 +150,7 @@ def _pairwise_sums(xs, mult):
     return [math.fsum(row) for row in quotients.tolist()]
 
 
-def monomial_shortcut(state, i, collision_threshold=1e-12):
-    """sum over j != i of alpha_j / (x_i - x_j) on the current snapshot.
-
-    For the monomial basis this equals Q'/((alpha+1) Q) at x_i exactly, so
-    the determinant pair can be skipped.
-    """
-    _check_collisions(state.approximations, collision_threshold)
-    return _pairwise_sums(state.approximations, state.multiplicities)[i]
-
-
-def _q_ratio(null, probe, i, x, factor, denominator_floor):
+def _q_ratio(null, probe, i, x, factor):
     """Q'(x) / (factor * Q(x)) from the null vector of the node block.
 
     null is node_null_vector of the node block and probe the basis rows of
@@ -177,23 +160,23 @@ def _q_ratio(null, probe, i, x, factor, denominator_floor):
     compensated dot product.  Two guards raise DegenerateDenominator, and
     neither depends on the scale of c:
     - the rank guard, when the node block's singular value ratio is at
-      most denominator_floor: c is then no null vector, and the ratio
+      most DENOMINATOR_FLOOR: c is then no null vector, and the ratio
       would be an arbitrary step;
-    - the cancellation guard, when |Q| is at most denominator_floor times
+    - the cancellation guard, when |Q| is at most DENOMINATOR_FLOOR times
       the summed term magnitudes sum_j |c_j r_j|, which fires on genuine
       cancellation rather than on the overall magnitude of an ill-scaled
       node block.
     """
     c, rank_ratio = null
-    if rank_ratio <= denominator_floor:
+    if rank_ratio <= DENOMINATOR_FLOOR:
         raise DegenerateDenominator(
             "node block singular value ratio %.3e is at most %g"
-            % (rank_ratio, denominator_floor)
+            % (rank_ratio, DENOMINATOR_FLOOR)
         )
     terms = c * probe[0]
     q = math.fsum(terms)
     scale = float(np.sum(np.abs(terms)))
-    if scale == 0.0 or abs(q) <= denominator_floor * scale:
+    if scale == 0.0 or abs(q) <= DENOMINATOR_FLOOR * scale:
         raise DegenerateDenominator(
             "Q_%d(%g) = %.3e is negligible against its term scale %.3e"
             % (i, x, q, scale)
@@ -202,27 +185,14 @@ def _q_ratio(null, probe, i, x, factor, denominator_floor):
     return qp / (factor * q)
 
 
-def method3_denominator(f, cfg, i, x, denominator_floor=1e-14):
-    """The method3 denominator f'(x) - f(x) Q'(x)/((alpha_i+1) Q(x)).
-
-    Exposed for the diagnostic identity that multiplying it by
-    (alpha_i + 1) Q(x) reproduces the psi evaluator.
-    """
-    alpha = cfg.nodes[i][1]
-    null = node_null_vector(_node_block(f.basis, cfg))
-    probe = f.basis.rows(x, alpha + 1)[alpha:]
-    ratio = _q_ratio(null, probe, i, x, alpha + 1.0, denominator_floor)
-    return f.eval(x, 1) - f.eval(x, 0) * ratio
-
-
-def _guarded_quotient(numerator, term_a, term_b, floor, label):
+def _guarded_quotient(numerator, term_a, term_b, label):
     """numerator / (term_a - term_b) with a scale-relative magnitude guard."""
     den = term_a - term_b
     scale = abs(term_a) + abs(term_b)
-    if scale == 0.0 or abs(den) <= floor * scale:
+    if scale == 0.0 or abs(den) <= DENOMINATOR_FLOOR * scale:
         raise DegenerateDenominator(
             "%s denominator %.3e is below %g of its term scale %.3e"
-            % (label, den, floor, scale)
+            % (label, den, DENOMINATOR_FLOOR, scale)
         )
     return numerator / den
 
@@ -255,7 +225,7 @@ def _snapshot(f, state, settings):
     node block (method3, method13) or shifts = the pairwise sums (ehrlich)."""
     xs, mult = state.approximations, state.multiplicities
     _check_inputs(f, mult, settings)
-    _check_collisions(xs, settings.collision_threshold)
+    _check_collisions(xs)
     rows = [f.basis.rows(float(x), _top_order(settings.method, a))
             for x, a in zip(xs, mult)]
     if settings.method == "ehrlich":
@@ -276,7 +246,6 @@ def single_correction(f, state, i, settings, snapshot=None):
     x = float(state.approximations[i])
     alpha = int(state.multiplicities[i])
     method = settings.method
-    floor = settings.denominator_floor
     # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
     p = alpha - 1 if method == "method13" else 0
     fp, magnitude = f.row_sums(rows[p])
@@ -285,14 +254,14 @@ def single_correction(f, state, i, settings, snapshot=None):
         return 0.0
     if method == "ehrlich":
         return _guarded_quotient(float(alpha), f.row_sums(rows[1])[0] / fp,
-                                 shifts[i], floor, "ehrlich")
+                                 shifts[i], "ehrlich")
     if method == "method3":
         numerator, factor = alpha * fp, alpha + 1.0
     else:
         numerator, factor = fp, 2.0
-    ratio = _q_ratio(null, rows[alpha:alpha + 2], i, x, factor, floor)
+    ratio = _q_ratio(null, rows[alpha:alpha + 2], i, x, factor)
     return _guarded_quotient(
-        numerator, f.row_sums(rows[p + 1])[0], fp * ratio, floor, method)
+        numerator, f.row_sums(rows[p + 1])[0], fp * ratio, method)
 
 
 def _compute_corrections(f, state, settings, map_=map):
@@ -307,14 +276,14 @@ def _compute_corrections(f, state, settings, map_=map):
         range(len(state.approximations)))))
 
 
-def parallel_corrections(f, state, settings, max_workers=None):
+def parallel_corrections(f, state, settings):
     """Corrections computed concurrently, one task per root index.
 
     Results are gathered in index order; values are bitwise identical to
     the sequential path because each task is a pure function of the shared
     snapshot.
     """
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor() as pool:
         return _compute_corrections(f, state, settings, pool.map)
 
 

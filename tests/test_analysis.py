@@ -9,7 +9,9 @@ from simroots import (
     GeneralizedPolynomial,
     InsufficientHistory,
     InvalidConfiguration,
+    IterationState,
     RootConfiguration,
+    SolverSettings,
     check_derivative_congruence,
     estimate_order,
     eval_phi,
@@ -17,9 +19,9 @@ from simroots import (
     finite_difference_derivative,
     from_roots,
     make_reference_basis,
-    method3_denominator,
     q_value,
     richardson_derivative,
+    single_correction,
     solve,
 )
 from simroots.basis import BasisSystem, constant, power
@@ -38,10 +40,10 @@ def reference_problem():
 
 
 def test_phi_vanishes_at_true_roots(reference_problem):
-    system, f = reference_problem
+    _, f = reference_problem
     iterate_cfg = RootConfiguration(((-0.4, 2), (2.8, 2)))
     for i, root in enumerate((-0.5, 3.0)):
-        assert abs(eval_phi(f, system, iterate_cfg, i, root)) < 1e-12
+        assert abs(eval_phi(f, iterate_cfg, i, root)) < 1e-12
 
 
 def test_phi_needs_a_root_location():
@@ -49,19 +51,19 @@ def test_phi_needs_a_root_location():
     f = GeneralizedPolynomial(system, np.array([-1.0, 0.0, 1.0]))
     cfg = RootConfiguration(((0.9, 1), (-1.1, 1)))
     with pytest.raises(InvalidConfiguration):
-        eval_phi(f, system, cfg, 0, 0.95)
+        eval_phi(f, cfg, 0, 0.95)
     # an explicit location works without construction records
-    value = eval_phi(f, system, cfg, 0, 1.0, true_root=1.0)
+    value = eval_phi(f, cfg, 0, 1.0, true_root=1.0)
     assert abs(value) < 1e-12
 
 
 def test_phi_is_homogeneous_in_the_coefficients(reference_problem):
     system, f = reference_problem
     iterate_cfg = RootConfiguration(((-0.4, 2), (2.8, 2)))
-    base = eval_phi(f, system, iterate_cfg, 1, 2.95)
+    base = eval_phi(f, iterate_cfg, 1, 2.95)
     for c in (3.0, 1e-4):
         scaled = GeneralizedPolynomial(system, c * f.coefficients)
-        value = eval_phi(scaled, system, iterate_cfg, 1, 2.95, true_root=3.0)
+        value = eval_phi(scaled, iterate_cfg, 1, 2.95, true_root=3.0)
         assert value == pytest.approx(c * base, rel=1e-10)
 
 
@@ -70,19 +72,23 @@ def test_psi_at_an_exact_simple_root():
     f = from_roots(system, RootConfiguration(((0.0, 1), (1.0, 1), (2.0, 1))))
     cfg = RootConfiguration(((-0.1, 1), (1.05, 1), (2.2, 1)))
     # f vanishes at 0, so psi collapses to 2 f' Q there
-    lhs = eval_psi(f, system, cfg, 0, 0.0)
+    lhs = eval_psi(f, cfg, 0, 0.0)
     rhs = 2.0 * f.eval(0.0, 1) * q_value(system, cfg, 0, 0.0)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_psi_matches_the_method3_denominator(reference_problem):
+    # the solver's method3 correction is alpha f / D at x_i, so its own
+    # denominator D is alpha f(x_i) / correction, and (alpha+1) Q_i D = psi
     system, f = reference_problem
     cfg = RootConfiguration(((-0.4, 2), (2.8, 2)))
+    state = IterationState(np.array([-0.4, 2.8]), np.array([2, 2]))
     for i, x in ((0, -0.4), (1, 2.8)):
         alpha = cfg.nodes[i][1]
-        lhs = eval_psi(f, system, cfg, i, x)
+        lhs = eval_psi(f, cfg, i, x)
+        correction = single_correction(f, state, i, SolverSettings())
         rhs = (alpha + 1.0) * q_value(system, cfg, i, x) \
-            * method3_denominator(f, cfg, i, x)
+            * alpha * f.eval(x) / correction
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -92,7 +98,7 @@ def test_psi_vanishing_order_at_a_triple_root():
     cfg = RootConfiguration(((0.05, 3), (1.9, 1)))
 
     def psi(x):
-        return eval_psi(f, system, cfg, 0, x)
+        return eval_psi(f, cfg, 0, x)
 
     scale = max(abs(psi(-0.5)), abs(psi(0.5)))
     assert abs(psi(0.0)) < 1e-12 * scale
@@ -127,24 +133,22 @@ def test_congruence_table_on_a_quadratic_with_known_shift_law():
     f = from_roots(system, RootConfiguration(((1.0, 1), (4.0, 1))))
     assert f.construction_scale == pytest.approx(15.0, rel=1e-12)
 
-    table = check_derivative_congruence(
-        f, system, f.construction_roots, f.construction_scale)
+    table = check_derivative_congruence(f)
     assert [delta for delta, _ in table] == [0.0, 1e-2, 1e-3, 1e-4]
     assert table[0][1] < 1e-12
     for delta, worst in table[1:]:
         assert worst == pytest.approx(6.0 * delta, rel=1e-9)
 
-    halved = check_derivative_congruence(
-        f, system, f.construction_roots, f.construction_scale,
-        deltas=(1e-2, 5e-3))
-    ratio = halved[2][1] / halved[1][1]
-    assert 0.3 < ratio < 0.7
+
+def test_congruence_needs_construction_roots():
+    f = GeneralizedPolynomial(_monomials(3), np.array([-1.0, 0.0, 1.0]))
+    with pytest.raises(InvalidConfiguration):
+        check_derivative_congruence(f)
 
 
 def test_congruence_zero_row_on_the_reference_example(reference_problem):
-    system, f = reference_problem
-    table = check_derivative_congruence(
-        f, system, f.construction_roots, f.construction_scale)
+    _, f = reference_problem
+    table = check_derivative_congruence(f)
     assert table[0][0] == 0.0
     assert table[0][1] < 1e-9 * f.construction_scale
     deviations = [worst for _, worst in table]

@@ -91,6 +91,23 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data"
+
+
+def test_demo_outputs_match_the_golden_files(tmp_path):
+    # the golden files record one platform's libm; a change that has to
+    # regenerate them says why in CHANGES.md
+    demo = str(ROOT / "problems" / "demo.json")
+    assert main(["run", demo, "--out", str(tmp_path)]) == 0
+    assert main(["compare", demo, "--out", str(tmp_path)]) == 0
+    names = ("demo.method3.csv", "demo.method13.csv", "demo.summary.txt",
+             "demo.compare.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 def test_validate_only(tmp_path, capsys):
     problem = _write_problem(tmp_path, REFERENCE_PROBLEM)
     out = tmp_path / "out"

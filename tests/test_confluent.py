@@ -39,6 +39,9 @@ def test_root_configuration_basics():
     assert cfg.locations == (1.0, 4.0)
     assert cfg.multiplicities == (2, 1)
     assert len(cfg) == 2
+    # integral floats are multiplicities too, stored as ints
+    cfg = RootConfiguration(((-0.5, 2.0), (3.0, np.int64(2))))
+    assert [(type(m), m) for m in cfg.multiplicities] == [(int, 2), (int, 2)]
 
 
 def test_root_configuration_rejects_duplicates():
@@ -51,27 +54,42 @@ def test_root_configuration_rejects_bad_multiplicity():
         RootConfiguration(((1.0, 0),))
 
 
+@pytest.mark.parametrize("nodes", [
+    ((-0.5, 2.5), (3.0, 1.5)),
+    ((2.7, 2.2),),
+    ((1.0, float("nan")),),
+    ((1.0, float("inf")),),
+])
+def test_root_configuration_refuses_non_integral_multiplicities(nodes):
+    # the same rule as IterationState: no truncation to a multiplicity
+    # the caller never claimed
+    with pytest.raises(InvalidConfiguration):
+        RootConfiguration(nodes)
+    with pytest.raises(InvalidConfiguration):
+        from_roots(make_reference_basis(), nodes)
+
+
 def test_build_matrix_simple_nodes():
     cfg = RootConfiguration(((1.0, 1), (2.0, 1)))
     m = build_matrix(_monomials(3), cfg, 0.0, 0)
-    assert np.allclose(m.entries, [[1, 0, 0], [1, 1, 1], [1, 2, 4]])
+    assert np.allclose(m, [[1, 0, 0], [1, 1, 1], [1, 2, 4]])
     m1 = build_matrix(_monomials(3), cfg, 0.0, 1)
-    assert np.allclose(m1.entries[0], [0, 1, 0])
-    assert np.allclose(m1.entries[1:], m.entries[1:])
+    assert np.allclose(m1[0], [0, 1, 0])
+    assert np.allclose(m1[1:], m[1:])
 
 
 def test_build_matrix_confluent_rows():
     cfg = RootConfiguration(((2.0, 2),))
     m = build_matrix(_monomials(3), cfg, 0.5, 0)
     # rows: probe values, node values, node first derivatives
-    assert np.allclose(m.entries, [[1, 0.5, 0.25], [1, 2, 4], [0, 1, 4]])
+    assert np.allclose(m, [[1, 0.5, 0.25], [1, 2, 4], [0, 1, 4]])
 
 
 def test_build_matrix_reference_first_row():
     system = make_reference_basis()
     cfg = RootConfiguration(((-0.5, 2), (3.0, 2)))
     m = build_matrix(system, cfg, 0.0, 2)
-    assert m.entries[0] == pytest.approx([0.0, 2.0, 0.0, 1.0, -2.0], rel=1e-12)
+    assert m[0] == pytest.approx([0.0, 2.0, 0.0, 1.0, -2.0], rel=1e-12)
 
 
 def test_build_matrix_dimension_check():

@@ -51,9 +51,9 @@ CASES = {
 def _oracle_ratio(basis, cfg, i, x):
     alpha = cfg.nodes[i][1]
     with mp.workdps(50):
-        q = mp.det(mp.matrix(build_matrix(basis, cfg, x, alpha).entries.tolist()))
+        q = mp.det(mp.matrix(build_matrix(basis, cfg, x, alpha).tolist()))
         qp = mp.det(mp.matrix(
-            build_matrix(basis, cfg, x, alpha + 1).entries.tolist()))
+            build_matrix(basis, cfg, x, alpha + 1).tolist()))
         return qp / q
 
 
@@ -71,7 +71,7 @@ def test_null_vector_ratio_against_the_oracle(name):
     for i, (x, alpha) in enumerate(cfg.nodes):
         exact = _oracle_ratio(basis, cfg, i, x)
         probe = basis.rows(x, alpha + 1)[alpha:]
-        null_ratio = _q_ratio(null, probe, i, x, 1.0, 1e-14)
+        null_ratio = _q_ratio(null, probe, i, x, 1.0)
         pivoted_ratio = q_derivative(basis, cfg, i, x) / q_value(basis, cfg, i, x)
         null_error = max(null_error, _relative_error(null_ratio, exact))
         pivoted_error = max(pivoted_error, _relative_error(pivoted_ratio, exact))

@@ -26,7 +26,6 @@ from simroots import (
     from_roots,
     is_monomial_basis,
     make_reference_basis,
-    monomial_shortcut,
     parallel_corrections,
     q_derivative,
     q_value,
@@ -128,20 +127,22 @@ def test_simple_roots_make_both_methods_identical():
     assert np.array_equal(a, b)
 
 
+def _pairwise_sums(state):
+    return solver._pairwise_sums(state.approximations, state.multiplicities)
+
+
 def test_monomial_shortcut_small_cases():
     state = IterationState(np.array([0.0, 1.0]), np.array([1, 1]))
-    assert monomial_shortcut(state, 0) == -1.0
-    assert monomial_shortcut(state, 1) == 1.0
+    assert _pairwise_sums(state) == [-1.0, 1.0]
     state = IterationState(np.array([0.0, 1.0, 4.0]), np.array([2, 1, 3]))
-    assert monomial_shortcut(state, 1) == pytest.approx(2.0 - 1.0, rel=1e-15)
-    assert monomial_shortcut(state, 2) == pytest.approx(0.5 + 1.0 / 3.0,
-                                                        rel=1e-15)
+    sums = _pairwise_sums(state)
+    assert sums[1] == pytest.approx(2.0 - 1.0, rel=1e-15)
+    assert sums[2] == pytest.approx(0.5 + 1.0 / 3.0, rel=1e-15)
 
 
 def test_monomial_shortcut_collision_guard():
-    state = IterationState(np.array([0.5, 0.5 + 1e-14]), np.array([1, 1]))
     with pytest.raises(IterateCollision):
-        monomial_shortcut(state, 0)
+        solver._check_collisions(np.array([0.5, 0.5 + 1e-14]))
 
 
 def test_vectorized_snapshot_checks_match_the_loops():
@@ -153,23 +154,23 @@ def test_vectorized_snapshot_checks_match_the_loops():
         xs, mult = state.approximations, state.multiplicities
         for i in range(m):
             loop = math.fsum(mult[j] / (xs[i] - xs[j]) for j in range(m) if j != i)
-            assert monomial_shortcut(state, i) == loop
+            assert _pairwise_sums(state)[i] == loop
     # pairs (1, 3) and (2, 4) collide; the loop names the first in row order
-    state = IterationState([1.0, 3.0, 2.0, 3.0 + 1e-13, 2.0 + 1e-13], [1] * 5)
+    xs = np.array([1.0, 3.0, 2.0, 3.0 + 1e-13, 2.0 + 1e-13])
     with pytest.raises(IterateCollision, match="approximations 1 and 3 "):
-        monomial_shortcut(state, 0)
+        solver._check_collisions(xs)
 
 
 def test_shortcut_matches_determinant_ratio():
     system = _monomials(6)
     state = IterationState(np.array([-0.7, 0.25, 1.0]), np.array([2, 1, 2]))
-    cfg = state.configuration()
+    cfg = RootConfiguration(((-0.7, 2), (0.25, 1), (1.0, 2)))
     for i in range(3):
         x = float(state.approximations[i])
         alpha = int(state.multiplicities[i])
         ratio = q_derivative(system, cfg, i, x) / (
             (alpha + 1.0) * q_value(system, cfg, i, x))
-        assert monomial_shortcut(state, i) == pytest.approx(ratio, rel=1e-9)
+        assert _pairwise_sums(state)[i] == pytest.approx(ratio, rel=1e-9)
 
 
 def test_is_monomial_basis():
@@ -214,10 +215,10 @@ def test_collision_stops_the_solve():
     assert len(report.history) == 1
 
 
-def test_degenerate_denominator_is_reported(reference_problem):
+def test_degenerate_denominator_is_reported(reference_problem, monkeypatch):
     _, f = reference_problem
-    report = solve(f, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES,
-                   SolverSettings(denominator_floor=1.0))
+    monkeypatch.setattr(solver, "DENOMINATOR_FLOOR", 1.0)
+    report = solve(f, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES)
     assert report.status is SolveStatus.degenerate_denominator
     assert report.iterations_used == 0
 
@@ -463,10 +464,15 @@ def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch):
 def test_settings_validation():
     with pytest.raises(InvalidConfiguration):
         SolverSettings(tolerance=0.0)
-    with pytest.raises(InvalidConfiguration):
-        SolverSettings(denominator_floor=-1e-3)
-    with pytest.raises(InvalidConfiguration):
-        SolverSettings(max_iterations=0)
+    # a tolerance no correction can fall below, or a budget no sweep
+    # count can reach exactly, would run a solve the caller did not ask for
+    for tolerance in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(InvalidConfiguration):
+            SolverSettings(tolerance=tolerance)
+    for budget in (0, 2.5, 50.0, True):
+        with pytest.raises(InvalidConfiguration):
+            SolverSettings(max_iterations=budget)
+    assert SolverSettings(max_iterations=np.int64(3)).max_iterations == 3
     with pytest.raises(InvalidConfiguration):
         SolverSettings(method="nope")
 
@@ -590,8 +596,3 @@ def test_multiplicities_that_cannot_be_iterated_are_refused(
     state = IterationState(np.array([-0.4, 2.8]), (2.0, 2.0))
     assert state.multiplicities.tolist() == [2, 2]
 
-
-def test_iteration_state_configuration_round_trip():
-    state = IterationState(np.array([-0.5, 3.0]), np.array([2, 2]))
-    cfg = state.configuration()
-    assert cfg.nodes == ((-0.5, 2), (3.0, 2))
