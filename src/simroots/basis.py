@@ -9,10 +9,14 @@ Catalog kinds differentiate through closed formulas.  Expression trees
 differentiate through truncated Taylor series (jets), so no numerical
 differencing is involved anywhere in the evaluation path.
 
-BasisSystem.rows gives every member's derivatives of orders 0 .. top at
-a point, one pass of each member's formula; eval reads one entry of it.
+BasisSystem.tensor gives every member's derivatives of orders 0 .. top at
+a batch of points.  Power members (and the constant, the power x^0) read
+one table of libm powers x^k per point, scaled by falling factorials in
+one numpy product; every other member runs its scalar formula once per
+point.  rows is the tensor of one point, and eval reads one entry of it.
 """
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -391,22 +395,13 @@ def expression(source, derivative_cap=EXPRESSION_CAP):
 
 
 def _column(b, x, top):
-    """Derivatives of orders 0 .. top of one basis function at x: closed
-    forms for catalog kinds, one jet of order top for expressions.  A
-    truncated jet is prefix-stable (coefficient k depends only on orders
-    <= k), so entry p equals the top coefficient of the jet of order p.
-    Raises OrderExceedsCap if top exceeds the function's derivative cap.
+    """Derivatives of orders 0 .. top at x of one member that is neither a
+    power nor the constant: closed forms for catalog kinds, one jet of
+    order top for expressions.  A truncated jet is prefix-stable
+    (coefficient k depends only on orders <= k), so entry p equals the top
+    coefficient of the jet of order p.
     """
-    if top > b.derivative_cap:
-        raise OrderExceedsCap(
-            "derivative order %d exceeds cap %d" % (top, b.derivative_cap)
-        )
     orders = range(top + 1)
-    if b.kind == "constant":
-        return [1.0] + [0.0] * top
-    if b.kind == "power":
-        return [math.perm(b.s, p) * x ** (b.s - p) if p <= b.s else 0.0
-                for p in orders]
     if b.kind in ("sine", "cosine"):
         trig = math.sin if b.kind == "sine" else math.cos
         phase = b.omega * x
@@ -441,6 +436,10 @@ class BasisSystem:
     The family is assumed to form a Chebyshev system on the interval;
     nonsingularity is verified only at concrete node sets, when confluent
     matrices are built from them.
+
+    __post_init__ also plans tensor: the exponent of each power member
+    (the constant is the power x^0), and the other members.  The gather
+    tables of each derivative order asked for are cached on the instance.
     """
 
     functions: tuple
@@ -456,13 +455,28 @@ class BasisSystem:
         lo, hi = self.domain
         if not lo < hi:
             raise DomainError("empty domain (%g, %g)" % (lo, hi))
+        exponents = [b.s if b.kind == "power" else 0 if b.kind == "constant"
+                     else None for b in self.functions]
+        table_size = max((s for s in exponents if s is not None), default=0) + 1
+        for name, value in (
+                ("_cap", min(b.derivative_cap for b in self.functions)),
+                ("_exponents", exponents),
+                ("_table_size", table_size),
+                ("_others", [b for b, s in zip(self.functions, exponents)
+                             if s is None]),
+                # perm(s, p) |x|^(s-p) <= max(|x|^s, s^s) and 143^143 < 2^1024,
+                # so below s = 144 a product overflows only where x ** s
+                # raised already
+                ("_products_may_overflow", table_size > 144),
+                ("_gathers", {})):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.functions)
 
     @property
     def derivative_cap(self):
-        return min(b.derivative_cap for b in self.functions)
+        return self._cap
 
     def contains(self, x):
         lo, hi = self.domain
@@ -476,18 +490,68 @@ class BasisSystem:
             )
 
     def eval(self, j, x, p=0):
-        """Evaluate the p-th derivative of member j at x: entry p of its
-        derivative column, so OrderExceedsCap if p exceeds its cap."""
-        self._check_domain(x)
-        return _column(self.functions[j], x, p)[p]
+        """Evaluate the p-th derivative of member j at x: entry (p, j) of
+        rows(x, p), so it raises what that call raises."""
+        return float(self.rows(x, p)[p, j])
 
     def rows(self, x, top):
-        """(top+1) x (n+1) array whose row p holds phi_j^(p)(x), entry for
-        entry equal to eval(j, x, p).  Raises DomainError outside the
-        domain and OrderExceedsCap when top exceeds the system's cap."""
-        self._check_domain(x)
-        x = float(x)
-        return np.array([_column(b, x, top) for b in self.functions]).T
+        """tensor([x], top)[0]: the (top+1) x (n+1) array whose row p
+        holds phi_j^(p)(x)."""
+        return self.tensor([x], top)[0]
+
+    def _gather(self, top):
+        """(I, F), both (top+1) x (n+1).  tensor lists per point the
+        values x^k for k < table size, then each other member's column of
+        orders 0 .. top, and entry [p, j] of the tensor is
+        F[p, j] * values[I[p, j]]: for a power member of exponent s,
+        F = perm(s, p), which is 0 for p > s, and I = s - p clipped at 0;
+        for another member F = 1.0, which leaves its value as it is.
+        Cached per top."""
+        if top not in self._gathers:
+            orders = range(top + 1)
+            index, factor = [], []
+            start = self._table_size
+            for s in self._exponents:
+                if s is None:
+                    index.append(range(start, start + top + 1))
+                    factor.append([1.0] * (top + 1))
+                    start += top + 1
+                else:
+                    index.append([max(s - p, 0) for p in orders])
+                    factor.append([float(math.perm(s, p)) for p in orders])
+            self._gathers[top] = (np.array(index, dtype=np.intp).T.copy(),
+                                  np.array(factor).T.copy())
+        return self._gathers[top]
+
+    def tensor(self, xs, top):
+        """(m, top+1, n+1) array whose entry [i, p, j] is phi_j^(p)(xs[i]).
+
+        Each entry is bit for bit what member j's formula gives at xs[i]
+        alone: x^(s-p) is one libm pow call (Python's float ** int), as
+        perm(s, p) * x ** (s - p) makes it, and every other member runs
+        its scalar formula once per point.  Raises DomainError for a
+        point outside the domain, OrderExceedsCap when top exceeds the
+        system's cap, and OverflowError where a power or a member's
+        formula leaves the float range.
+        """
+        xs = [float(x) for x in xs]
+        for x in xs:
+            self._check_domain(x)
+        if top > self._cap:
+            raise OrderExceedsCap(
+                "derivative order %d exceeds cap %d" % (top, self._cap)
+            )
+        index, factor = self._gather(top)
+        powers = range(self._table_size)
+        values = []
+        for x in xs:
+            point = [x ** k for k in powers]
+            for b in self._others:
+                point += _column(b, x, top)
+            values.append(point)
+        with (np.errstate(over="ignore") if self._products_may_overflow
+              else contextlib.nullcontext()):  # inf, as int * float gives it
+            return factor * np.array(values)[:, index]
 
 
 def make_reference_basis():

@@ -11,6 +11,7 @@ the largest cross-method difference of the converged roots.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,6 +24,7 @@ from .analysis import estimate_order
 from .confluent import RootConfiguration
 from .errors import (
     InsufficientHistory,
+    InvalidConfiguration,
     ProblemFileError,
     SimrootsError,
 )
@@ -212,17 +214,15 @@ def load_problem(path):
     if not isinstance(raw_settings, dict):
         _fail("settings", "expected an object")
     for key, value in raw_settings.items():
-        if key == "tolerance":
-            value = _require_number("settings", value)
-            if value <= 0:
-                _fail("settings", "'tolerance' must be positive")
-            settings["tolerance"] = value
-        elif key == "max_iterations":
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                _fail("settings", "'max_iterations' must be a positive integer")
-            settings["max_iterations"] = value
-        else:
+        if key not in settings:
             _fail("settings", "unknown key %r" % (key,))
+        # a JSON true is no tolerance; SolverSettings judges the values
+        settings[key] = (_require_number("settings", value)
+                         if key == "tolerance" else value)
+    try:
+        SolverSettings(**settings)
+    except InvalidConfiguration as exc:
+        _fail("settings", str(exc))
 
     normalized = {
         "basis": normalized_basis,
@@ -369,7 +369,9 @@ def cmd_compare(args):
     return 2
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="simroots",
         description="Simultaneous root extraction for generalized polynomials.",

@@ -70,8 +70,16 @@ class RootConfiguration:
         return len(self.nodes)
 
 
+def node_rows(tensor, multiplicities):
+    """The rows of orders 0 .. alpha_i - 1 at each point i of a basis
+    tensor (BasisSystem.tensor), stacked in point order: the node block
+    of those points with those multiplicities."""
+    orders = np.arange(tensor.shape[1])
+    return tensor[orders < np.asarray(multiplicities)[:, None]]
+
+
 def _node_block(basis, cfg):
-    """The n x (n+1) node block of cfg, from one basis.rows call per node.
+    """The n x (n+1) node block of cfg, from one basis.tensor call.
 
     Raises DimensionMismatch unless cfg makes the bordered block square.
     """
@@ -80,7 +88,8 @@ def _node_block(basis, cfg):
             "node multiplicities sum to %d but the basis has %d functions"
             % (cfg.total_degree, len(basis))
         )
-    return np.vstack([basis.rows(loc, mult - 1) for loc, mult in cfg.nodes])
+    top = max(cfg.multiplicities) - 1
+    return node_rows(basis.tensor(cfg.locations, top), cfg.multiplicities)
 
 
 def build_matrix(basis, cfg, probe, first_row_order):
@@ -156,13 +165,13 @@ def first_row_cofactors(basis, cfg):
     OverflowError on a non-finite node block.
     """
     block = _node_block(basis, cfg)
-    c, ratio = node_null_vector(block)
+    scaled, row_exponents, column_exponents = _equilibrated(block)
+    c, ratio = _null_vector(scaled, column_exponents)
     if ratio <= SINGULARITY_RELATIVE_THRESHOLD:
         raise SingularNodeSystem(
             "node block is numerically rank-deficient "
             "(singular value ratio %.3e)" % ratio
         )
-    scaled, row_exponents, column_exponents = _equilibrated(block)
     residual = [math.fsum(terms) for terms in (block * c).tolist()]
     step = np.linalg.lstsq(scaled, np.ldexp(residual, -row_exponents))[0]
     c = c - np.ldexp(step, -column_exponents)
@@ -210,6 +219,12 @@ def node_null_vector(block):
     exp(30 x) beside 1, as rank deficiency.
     """
     scaled, _, column_exponents = _equilibrated(block)
+    return _null_vector(scaled, column_exponents)
+
+
+def _null_vector(scaled, column_exponents):
+    """node_null_vector from the equilibrated block and its column
+    exponents (_equilibrated)."""
     _, sv, vt = np.linalg.svd(scaled)
     ratio = float(sv[-1] / sv[0]) if sv[0] else 0.0
     exponents = -column_exponents

@@ -35,31 +35,46 @@ class GeneralizedPolynomial:
         if not np.any(coeffs):
             raise InvalidConfiguration("coefficients must not all be zero")
 
-    def row_sums(self, row):
-        """(sum_j a_j r_j, sum_j |a_j r_j|) for one row r of basis values:
-        with r = basis.rows(x, top)[p], f^(p)(x) and its term magnitude.
+    def row_sums(self, rows):
+        """[(sum_j a_j r_j, sum_j |a_j r_j|) for each row r of rows]: with
+        rows = basis.rows(x, top), f^(p)(x) and its term magnitude for
+        every order p.
 
-        Compensated sums over the nonzero coefficients.  Raises
-        OverflowError when a term is not finite, where the sum would be
-        inf, nan, or a ValueError for inf - inf.
+        One product over the nonzero coefficients for the whole stack,
+        then compensated sums per row.  A row whose sums leave the float
+        range gives None: a term that is not finite (the sum would be inf,
+        nan, or a ValueError for inf - inf), or an fsum that overflows.
+        checked_sums() turns that None into OverflowError where it is read.
         """
         a = self.coefficients
         nonzero = a != 0.0
-        terms = a[nonzero] * row[nonzero]
-        if not np.isfinite(terms).all():
-            raise OverflowError("a term of f at a basis row is not finite")
-        terms = terms.tolist()
-        return math.fsum(terms), math.fsum(map(abs, terms))
+        return [_sums(terms) for terms in (rows[:, nonzero] * a[nonzero]).tolist()]
 
     def eval(self, x, p=0):
         """Evaluate the p-th derivative at x by compensated summation."""
-        return self.row_sums(self.basis.rows(x, p)[p])[0]
+        return checked_sums(self.row_sums(self.basis.rows(x, p)[p:])[0])[0]
 
     __call__ = eval
 
     def term_magnitude(self, x, p=0):
         """Sum of |a_j phi_j^(p)(x)|, the roundoff scale of eval(x, p)."""
-        return self.row_sums(self.basis.rows(x, p)[p])[1]
+        return checked_sums(self.row_sums(self.basis.rows(x, p)[p:])[0])[1]
+
+
+def _sums(terms):
+    try:
+        value, magnitude = math.fsum(terms), math.fsum(map(abs, terms))
+    except (OverflowError, ValueError):
+        return None
+    # |value| <= magnitude, which is finite exactly when every term is
+    return (value, magnitude) if math.isfinite(magnitude) else None
+
+
+def checked_sums(sums):
+    """One entry of row_sums; OverflowError where it is None."""
+    if sums is None:
+        raise OverflowError("a term of f at a basis row is not finite")
+    return sums
 
 
 def from_roots(basis, cfg):

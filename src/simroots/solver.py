@@ -20,9 +20,11 @@ Q'/((alpha+1) Q) equals the pairwise sum sum_{j != i} alpha_j/(x_i - x_j)
 (_pairwise_sums), which is the ehrlich form's stand-in for it.
 
 Every correction reads one snapshot, which only _snapshot builds: the
-input and collision checks, one BasisSystem.rows(x_i, top_i) per root, and
-either the null vector of B (rows 0 .. alpha_i - 1 of each root, stacked)
-or the ehrlich pairwise sums; f^(p) and the probe rows share those rows.
+input and collision checks, one BasisSystem.tensor over every root up to
+the highest order a correction reads, f^(p) and f^(p+1) at every root
+from one pass of GeneralizedPolynomial.row_sums, and either the null
+vector of B (rows 0 .. alpha_i - 1 of each root, stacked) or the ehrlich
+pairwise sums.  The probe rows are slices of the same tensor.
 """
 
 import math
@@ -32,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .confluent import node_null_vector, positive_integers
+from .confluent import node_null_vector, node_rows, positive_integers
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -40,6 +42,7 @@ from .errors import (
     InvalidConfiguration,
     IterateCollision,
 )
+from .genpoly import checked_sums
 
 EPS = float(np.finfo(float).eps)
 
@@ -120,10 +123,13 @@ def _check_collisions(xs):
     |x_i - x_j| <= COLLISION_THRESHOLD * (1 + max(|x_i|, |x_j|))."""
     with np.errstate(over="ignore"):  # an inf gap is no collision
         gap = np.abs(xs[:, None] - xs)
-    limit = COLLISION_THRESHOLD * (1.0 + np.maximum.outer(np.abs(xs), np.abs(xs)))
-    hits = np.argwhere(np.triu(gap <= limit, 1))
+    np.fill_diagonal(gap, np.nan)
+    size = np.abs(xs)
+    limit = COLLISION_THRESHOLD * (1.0 + np.maximum.outer(size, size))
+    # gap and limit are symmetric, so the first hit in row order has i < j
+    hits = np.flatnonzero(gap <= limit)
     if len(hits):
-        i, j = hits[0]
+        i, j = divmod(int(hits[0]), len(xs))
         raise IterateCollision(
             "approximations %d and %d are %.3e apart (limit %.3e)"
             % (i, j, gap[i, j], limit[i, j])
@@ -220,18 +226,24 @@ def _check_inputs(f, multiplicities, settings):
 
 
 def _snapshot(f, state, settings):
-    """Checks the inputs and collisions, then returns (rows, null, shifts):
-    rows[i] = f.basis.rows(x_i, top_i), with null = node_null_vector of the
-    node block (method3, method13) or shifts = the pairwise sums (ehrlich)."""
+    """Checks the inputs and collisions, then returns (rows, sums, null,
+    shifts): rows = f.basis.tensor(xs, top) with top the highest order any
+    root needs; sums[i] = f.row_sums of rows p_i and p_i + 1 of root i,
+    the orders its step reads; and null = node_null_vector of the node
+    block (method3, method13) or shifts = the pairwise sums (ehrlich)."""
     xs, mult = state.approximations, state.multiplicities
     _check_inputs(f, mult, settings)
     _check_collisions(xs)
-    rows = [f.basis.rows(float(x), _top_order(settings.method, a))
-            for x, a in zip(xs, mult)]
-    if settings.method == "ehrlich":
-        return rows, None, _pairwise_sums(xs, mult)
-    block = np.vstack([r[:a] for r, a in zip(rows, mult)])
-    return rows, node_null_vector(block), None
+    method = settings.method
+    rows = f.basis.tensor(xs, _top_order(method, mult.max()))
+    # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
+    p = mult - 1 if method == "method13" else np.zeros_like(mult)
+    read = rows[np.arange(len(xs))[:, None], p[:, None] + (0, 1)]
+    pairs = f.row_sums(read.reshape(-1, rows.shape[2]))
+    sums = list(zip(pairs[::2], pairs[1::2]))
+    if method == "ehrlich":
+        return rows, sums, None, _pairwise_sums(xs, mult)
+    return rows, sums, node_null_vector(node_rows(rows, mult)), None
 
 
 def single_correction(f, state, i, settings, snapshot=None):
@@ -241,27 +253,25 @@ def single_correction(f, state, i, settings, snapshot=None):
     it here.  Pure in all arguments, so calls for different i may run in
     any order or concurrently and produce identical values.
     """
-    all_rows, null, shifts = snapshot or _snapshot(f, state, settings)
-    rows = all_rows[i]
+    rows, sums, null, shifts = snapshot or _snapshot(f, state, settings)
     x = float(state.approximations[i])
     alpha = int(state.multiplicities[i])
     method = settings.method
-    # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
-    p = alpha - 1 if method == "method13" else 0
-    fp, magnitude = f.row_sums(rows[p])
+    at_p, at_next = sums[i]
+    fp, magnitude = checked_sums(at_p)
     if abs(fp) <= NOISE_FLOOR_FACTOR * EPS * magnitude:
         # a root hit, or a residual of pure rounding noise: hold position
         return 0.0
     if method == "ehrlich":
-        return _guarded_quotient(float(alpha), f.row_sums(rows[1])[0] / fp,
+        return _guarded_quotient(float(alpha), checked_sums(at_next)[0] / fp,
                                  shifts[i], "ehrlich")
     if method == "method3":
         numerator, factor = alpha * fp, alpha + 1.0
     else:
         numerator, factor = fp, 2.0
-    ratio = _q_ratio(null, rows[alpha:alpha + 2], i, x, factor)
-    return _guarded_quotient(
-        numerator, f.row_sums(rows[p + 1])[0], fp * ratio, method)
+    ratio = _q_ratio(null, rows[i, alpha:alpha + 2], i, x, factor)
+    return _guarded_quotient(numerator, checked_sums(at_next)[0], fp * ratio,
+                             method)
 
 
 def _compute_corrections(f, state, settings, map_=map):
@@ -315,15 +325,19 @@ def _with_method(settings, method):
 
 def _residual_sums(f, approximations, multiplicities):
     """Per root, (f^(q)(x), its term magnitude) for q < alpha, or None when
-    x has left the basis domain or a value the float range."""
-    out = []
-    for x, alpha in zip(approximations, multiplicities):
-        try:
-            out.append([f.row_sums(row)
-                        for row in f.basis.rows(x, int(alpha) - 1)])
-        except (DomainError, OverflowError):
-            out.append(None)
-    return out
+    x has left the basis domain or a value the float range.  One tensor
+    serves every root; when it raises, each root is evaluated alone, so
+    that only a root that escapes gets None."""
+    try:
+        tensor = f.basis.tensor(approximations, int(max(multiplicities)) - 1)
+    except (DomainError, OverflowError):
+        if len(approximations) == 1:
+            return [None]
+        return [_residual_sums(f, [x], [alpha])[0]
+                for x, alpha in zip(approximations, multiplicities)]
+    sums = iter(f.row_sums(node_rows(tensor, multiplicities)))
+    roots = [[next(sums) for _ in range(int(alpha))] for alpha in multiplicities]
+    return [None if None in root else root for root in roots]
 
 
 def _residuals_validate(sums):

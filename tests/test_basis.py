@@ -1,7 +1,10 @@
 """Basis functions: closed-form derivatives, jets, and the parser."""
 
 import math
+import random
+import warnings
 
+import numpy as np
 import pytest
 
 from simroots import (
@@ -23,6 +26,7 @@ from simroots import (
     power,
     sine,
 )
+from simroots.basis import _column
 
 GENERIC_POINTS = (-1.3, -0.4, 0.7, 1.9)
 
@@ -164,6 +168,68 @@ def test_rows_check_the_domain_and_the_cap():
     assert capped.rows(0.5, 3)[2].tolist() == [0.0, 2.0]
     with pytest.raises(OrderExceedsCap):
         capped.rows(0.5, 4)
+
+
+def _scalar_power(s, x, p):
+    """The power kind's closed form, one libm pow per entry."""
+    return math.perm(s, p) * x ** (s - p) if p <= s else 0.0
+
+
+def _scalar_tensor(system, xs, top):
+    """tensor entry by entry: the scalar power formula for the powers and
+    the constant, each other member's own column, one point at a time."""
+    out = np.empty((len(xs), top + 1, len(system)))
+    for i, x in enumerate(xs):
+        for j, b in enumerate(system.functions):
+            if b.kind == "power":
+                out[i, :, j] = [_scalar_power(b.s, x, p) for p in range(top + 1)]
+            elif b.kind == "constant":
+                out[i, :, j] = [1.0] + [0.0] * top
+            else:
+                out[i, :, j] = _column(b, x, top)
+    return out
+
+
+TENSOR_SYSTEMS = {
+    **{"monomial-%d" % n: BasisSystem(
+        (constant(),) + tuple(power(s) for s in range(1, n + 1)))
+       for n in (1, 2, 5, 14, 20, 24)},
+    # members out of kind order, power(2) below the top order
+    "mixed": BasisSystem((sine(3.0), power(2), constant(), exponential(-1.0),
+                          power(7), inverse_quadratic(), expression("x*sin(x)"),
+                          cosine(1.7))),
+    "sparse": BasisSystem((constant(), power(1), power(200))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_SYSTEMS))
+def test_tensor_matches_the_scalar_formulas_bit_for_bit(name):
+    system = TENSOR_SYSTEMS[name]
+    rng = random.Random(name)
+    for _ in range(40):
+        scale = rng.choice((1e-3, 1.0, 3.0))
+        xs = [rng.uniform(-scale, scale) for _ in range(rng.randint(1, 6))]
+        top = rng.randint(0, 8)
+        tensor = system.tensor(xs, top)
+        assert np.array_equal(tensor, _scalar_tensor(system, xs, top)), (xs, top)
+        assert np.array_equal(system.rows(xs[0], top), tensor[0])
+
+
+def test_tensor_overflow_matches_the_scalar_formulas():
+    system = TENSOR_SYSTEMS["sparse"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 30^200 is finite, but perm(200, 20) 30^180 overflows to inf,
+        # as the int * float product of the scalar formula does
+        tensor = system.tensor([30.0, -30.0], 25)
+        assert np.isinf(tensor).any()
+        assert np.array_equal(tensor, _scalar_tensor(system, [30.0, -30.0], 25))
+        # 1e3^200 overflows in pow itself, which raises
+        for x in (1e3, -1e3):
+            with pytest.raises(OverflowError):
+                system.tensor([0.5, x], 2)
+            with pytest.raises(OverflowError):
+                _scalar_power(200, x, 0)
 
 
 @pytest.mark.parametrize("bad", [

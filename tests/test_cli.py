@@ -234,6 +234,11 @@ def test_rejection_messages_name_the_field(tmp_path, capsys):
         ("methods", dict(REFERENCE_PROBLEM, methods=["method3", "newton"])),
         ("methods", dict(REFERENCE_PROBLEM, methods=["ehrlich", "method3"])),
         ("settings", dict(REFERENCE_PROBLEM, settings={"tol": 1e-9})),
+        ("settings", dict(REFERENCE_PROBLEM, settings={"tolerance": -1e-9})),
+        ("settings", dict(REFERENCE_PROBLEM, settings={"tolerance": True})),
+        ("settings", dict(REFERENCE_PROBLEM, settings={"max_iterations": 0})),
+        ("settings", dict(REFERENCE_PROBLEM, settings={"max_iterations": 2.5})),
+        ("settings", dict(REFERENCE_PROBLEM, settings={"max_iterations": "9"})),
         ("basis", dict(REFERENCE_PROBLEM,
                        basis=[{"kind": "constant"}, {"kind": "cubic"}])),
         ("initial", dict(REFERENCE_PROBLEM, initial=[-0.4])),

@@ -204,8 +204,10 @@ def test_coefficients_reference_roots_have_tiny_residuals():
 def _normwise_residual(f, cfg):
     """max |f^(q)(x_j)| / (||a||_inf ||row||_1) over the node rows of cfg."""
     a = float(np.max(np.abs(f.coefficients)))
-    return max(abs(f.row_sums(row)[0]) / (a * float(np.sum(np.abs(row))))
-               for x, mult in cfg.nodes for row in f.basis.rows(x, mult - 1))
+    return max(abs(value) / (a * float(np.sum(np.abs(row))))
+               for x, mult in cfg.nodes
+               for rows in [f.basis.rows(x, mult - 1)]
+               for row, (value, _) in zip(rows, f.row_sums(rows)))
 
 
 _CONSTRUCTION_CASES = {

@@ -22,8 +22,8 @@ def _monomials(count):
 
 def _residual_profile(f, cfg):
     """|f^(q)(x_j)| for each node j and q < alpha_j, in node-block order."""
-    return [abs(f.row_sums(row)[0]) for loc, mult in cfg.nodes
-            for row in f.basis.rows(loc, mult - 1)]
+    return [abs(value) for loc, mult in cfg.nodes
+            for value, _ in f.row_sums(f.basis.rows(loc, mult - 1))]
 
 
 def _quadratic():

@@ -451,14 +451,44 @@ def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(BasisSystem, "rows", counting("rows", BasisSystem.rows))
-    monkeypatch.setattr(BasisSystem, "eval", counting("eval", BasisSystem.eval))
+    # one tensor holds every root's rows; rows and eval are views of it
+    for name in ("tensor", "rows", "eval"):
+        monkeypatch.setattr(BasisSystem, name,
+                            counting(name, getattr(BasisSystem, name)))
     monkeypatch.setattr(solver, "_check_collisions",
                         counting("collisions", solver._check_collisions))
     for method in METHODS:
         calls.clear()
         _step(f, state, SolverSettings(method=method))
-        assert calls == {"rows": 14, "collisions": 1}, method
+        assert calls == {"tensor": 1, "collisions": 1}, method
+
+
+def test_only_the_root_that_escapes_loses_its_residuals():
+    f = from_roots(_monomials(5), RootConfiguration(
+        ((-0.5, 2), (0.3, 1), (0.8, 1))))
+    xs, mult = np.array([-0.45, 0.32, 0.79]), np.array([2, 1, 1])
+    alone = [f.row_sums(f.basis.rows(x, int(a) - 1)) for x, a in zip(xs, mult)]
+    assert solver._residual_sums(f, xs, mult) == alone
+    # x^4 overflows at 1e100, and an infinite x is outside every domain
+    for escaped in (1e100, math.inf):
+        sums = solver._residual_sums(f, np.array([-0.45, escaped, 0.79]), mult)
+        assert sums == [alone[0], None, alone[2]]
+
+
+def test_a_held_root_does_not_read_its_next_row():
+    # f = a0 + a1 exp(r x) cancels exactly at x, where f' = a1 r exp(r x)
+    # overflows: the hold returns before that row is read
+    x, rate = 6.9e-8, 1e10
+    a1 = 1e-300
+    a0 = -(a1 * math.exp(rate * x))
+    f = GeneralizedPolynomial(BasisSystem((constant(), exponential(rate))),
+                              np.array([a0, a1]))
+    state = IterationState(np.array([x]), np.array([1]))
+    for method in ("method3", "method13"):
+        assert single_correction(f, state, 0, SolverSettings(method=method)) \
+            == 0.0
+    with pytest.raises(OverflowError):
+        f.eval(x, 1)
 
 
 def test_settings_validation():
