@@ -13,10 +13,11 @@ BasisSystem.tensor gives every member's derivatives of orders 0 .. top at
 a batch of points.  Power members (and the constant, the power x^0) read
 one table of libm powers x^k per point, scaled by falling factorials in
 one numpy product; every other member runs its scalar formula once per
-point.  rows is the tensor of one point, and eval reads one entry of it.
+point.  rows is the tensor of one point.  eval gives one entry of it
+from one member alone, through the same formula (perm(s, p) * x ** (s - p)
+for a power), so it checks only that member's cap and overflow.
 """
 
-import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -464,10 +465,6 @@ class BasisSystem:
                 ("_table_size", table_size),
                 ("_others", [b for b, s in zip(self.functions, exponents)
                              if s is None]),
-                # perm(s, p) |x|^(s-p) <= max(|x|^s, s^s) and 143^143 < 2^1024,
-                # so below s = 144 a product overflows only where x ** s
-                # raised already
-                ("_products_may_overflow", table_size > 144),
                 ("_gathers", {})):
             object.__setattr__(self, name, value)
 
@@ -490,9 +487,20 @@ class BasisSystem:
             )
 
     def eval(self, j, x, p=0):
-        """Evaluate the p-th derivative of member j at x: entry (p, j) of
-        rows(x, p), so it raises what that call raises."""
-        return float(self.rows(x, p)[p, j])
+        """Evaluate the p-th derivative of member j at x, bit for bit entry
+        (p, j) of rows(x, p), from member j alone: OrderExceedsCap only if
+        p exceeds its own cap, and no other member is evaluated."""
+        x = float(x)
+        self._check_domain(x)
+        b = self.functions[j]
+        if p > b.derivative_cap:
+            raise OrderExceedsCap(
+                "derivative order %d exceeds cap %d" % (p, b.derivative_cap)
+            )
+        s = self._exponents[j]
+        if s is None:
+            return _column(b, x, p)[p]
+        return math.perm(s, p) * x ** (s - p) if p <= s else 0.0
 
     def rows(self, x, top):
         """tensor([x], top)[0]: the (top+1) x (n+1) array whose row p
@@ -508,19 +516,22 @@ class BasisSystem:
         for another member F = 1.0, which leaves its value as it is.
         Cached per top."""
         if top not in self._gathers:
-            orders = range(top + 1)
             index, factor = [], []
-            start = self._table_size
-            for s in self._exponents:
-                if s is None:
-                    index.append(range(start, start + top + 1))
-                    factor.append([1.0] * (top + 1))
-                    start += top + 1
-                else:
-                    index.append([max(s - p, 0) for p in orders])
-                    factor.append([float(math.perm(s, p)) for p in orders])
-            self._gathers[top] = (np.array(index, dtype=np.intp).T.copy(),
-                                  np.array(factor).T.copy())
+            for p in range(top + 1):
+                start = self._table_size + p
+                index_row, factor_row = [], []
+                for s in self._exponents:
+                    if s is None:
+                        index_row.append(start)
+                        factor_row.append(1.0)
+                        start += top + 1
+                    else:
+                        index_row.append(max(s - p, 0))
+                        factor_row.append(float(math.perm(s, p)))
+                index.append(index_row)
+                factor.append(factor_row)
+            self._gathers[top] = (np.array(index, dtype=np.intp),
+                                  np.array(factor))
         return self._gathers[top]
 
     def tensor(self, xs, top):
@@ -549,9 +560,8 @@ class BasisSystem:
             for b in self._others:
                 point += _column(b, x, top)
             values.append(point)
-        with (np.errstate(over="ignore") if self._products_may_overflow
-              else contextlib.nullcontext()):  # inf, as int * float gives it
-            return factor * np.array(values)[:, index]
+        with np.errstate(over="ignore"):  # inf, as int * float gives it
+            return factor * np.array(values).take(index, axis=1)
 
 
 def make_reference_basis():

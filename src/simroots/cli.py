@@ -216,13 +216,12 @@ def load_problem(path):
     for key, value in raw_settings.items():
         if key not in settings:
             _fail("settings", "unknown key %r" % (key,))
-        # a JSON true is no tolerance; SolverSettings judges the values
-        settings[key] = (_require_number("settings", value)
-                         if key == "tolerance" else value)
+        settings[key] = value
     try:
-        SolverSettings(**settings)
+        checked = SolverSettings(**settings)
     except InvalidConfiguration as exc:
         _fail("settings", str(exc))
+    settings = {key: getattr(checked, key) for key in settings}
 
     normalized = {
         "basis": normalized_basis,

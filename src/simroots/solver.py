@@ -28,6 +28,8 @@ pairwise sums.  The probe rows are slices of the same tensor.
 """
 
 import math
+import numbers
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -83,8 +85,11 @@ class SolverSettings:
             raise InvalidConfiguration(
                 "unknown method %r (known: %s)"
                 % (self.method, ", ".join(METHODS)))
-        if not 0.0 < self.tolerance < math.inf:
+        if isinstance(self.tolerance, bool) or not isinstance(
+                self.tolerance, numbers.Real) or not (
+                0.0 < self.tolerance <= sys.float_info.max):
             raise InvalidConfiguration("tolerance must be positive and finite")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         if isinstance(self.max_iterations, bool) or not isinstance(
                 self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise InvalidConfiguration("max_iterations must be a positive integer")

@@ -170,6 +170,20 @@ def test_rows_check_the_domain_and_the_cap():
         capped.rows(0.5, 4)
 
 
+def test_eval_reads_only_its_own_member():
+    # exp(800 x) overflows at x = 2; x*x caps its orders at 8, sine at 100
+    system = BasisSystem((constant(), power(1), exponential(800.0)))
+    assert system.eval(1, 2.0) == 2.0
+    for read in (lambda: system.eval(2, 2.0), lambda: system.rows(2.0, 0)):
+        with pytest.raises(OverflowError):
+            read()
+    capped = BasisSystem((sine(1.0), expression("x*x")))
+    assert capped.eval(0, 0.5, 9) == math.sin(0.5 + 9 * math.pi / 2.0)
+    for read in (lambda: capped.eval(1, 0.5, 9), lambda: capped.rows(0.5, 9)):
+        with pytest.raises(OrderExceedsCap):
+            read()
+
+
 def _scalar_power(s, x, p):
     """The power kind's closed form, one libm pow per entry."""
     return math.perm(s, p) * x ** (s - p) if p <= s else 0.0
@@ -213,6 +227,8 @@ def test_tensor_matches_the_scalar_formulas_bit_for_bit(name):
         tensor = system.tensor(xs, top)
         assert np.array_equal(tensor, _scalar_tensor(system, xs, top)), (xs, top)
         assert np.array_equal(system.rows(xs[0], top), tensor[0])
+        assert all(tensor[0, p, j] == system.eval(j, xs[0], p)
+                   for p in range(top + 1) for j in range(len(system)))
 
 
 def test_tensor_overflow_matches_the_scalar_formulas():

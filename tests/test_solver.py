@@ -496,13 +496,15 @@ def test_settings_validation():
         SolverSettings(tolerance=0.0)
     # a tolerance no correction can fall below, or a budget no sweep
     # count can reach exactly, would run a solve the caller did not ask for
-    for tolerance in (float("nan"), float("inf"), -1e-3):
+    for tolerance in (float("nan"), float("inf"), -1e-3, 10 ** 400, True,
+                      "1e-9", None):
         with pytest.raises(InvalidConfiguration):
             SolverSettings(tolerance=tolerance)
     for budget in (0, 2.5, 50.0, True):
         with pytest.raises(InvalidConfiguration):
             SolverSettings(max_iterations=budget)
     assert SolverSettings(max_iterations=np.int64(3)).max_iterations == 3
+    assert type(SolverSettings(tolerance=1).tolerance) is float
     with pytest.raises(InvalidConfiguration):
         SolverSettings(method="nope")
 
