@@ -18,6 +18,7 @@ from one member alone, through the same formula (perm(s, p) * x ** (s - p)
 for a power), so it checks only that member's cap and overflow.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -430,6 +431,35 @@ def _column(b, x, top):
 # Basis systems
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=128)
+def _gather(exponents, table_size, top):
+    """(I, F), both (top+1) x (n+1) and read-only, for the members'
+    exponents (None for a member that is no power).  tensor lists per
+    point x^k for k < table_size, then each other member's column of
+    orders 0 .. top; entry [p, j] of the tensor is F[p, j] * values[I[p, j]]:
+    F = perm(s, p), 0 for p > s, and I = max(s - p, 0) for a power of
+    exponent s, F = 1.0 for another member.  Systems with equal exponents
+    share the cached tables."""
+    index, factor = [], []
+    for p in range(top + 1):
+        start = table_size + p
+        index_row, factor_row = [], []
+        for s in exponents:
+            if s is None:
+                index_row.append(start)
+                factor_row.append(1.0)
+                start += top + 1
+            else:
+                index_row.append(max(s - p, 0))
+                factor_row.append(float(math.perm(s, p)))
+        index.append(index_row)
+        factor.append(factor_row)
+    tables = np.array(index, dtype=np.intp), np.array(factor)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @dataclass(frozen=True)
 class BasisSystem:
     """Ordered family of n+1 basis functions on an open interval.
@@ -440,7 +470,8 @@ class BasisSystem:
 
     __post_init__ also plans tensor: the exponent of each power member
     (the constant is the power x^0), and the other members.  The gather
-    tables of each derivative order asked for are cached on the instance.
+    tables of each derivative order come from _gather, whose cache every
+    system with the same exponents shares.
     """
 
     functions: tuple
@@ -456,16 +487,15 @@ class BasisSystem:
         lo, hi = self.domain
         if not lo < hi:
             raise DomainError("empty domain (%g, %g)" % (lo, hi))
-        exponents = [b.s if b.kind == "power" else 0 if b.kind == "constant"
-                     else None for b in self.functions]
+        exponents = tuple(b.s if b.kind == "power" else 0 if b.kind == "constant"
+                          else None for b in self.functions)
         table_size = max((s for s in exponents if s is not None), default=0) + 1
         for name, value in (
                 ("_cap", min(b.derivative_cap for b in self.functions)),
                 ("_exponents", exponents),
                 ("_table_size", table_size),
                 ("_others", [b for b, s in zip(self.functions, exponents)
-                             if s is None]),
-                ("_gathers", {})):
+                             if s is None])):
             object.__setattr__(self, name, value)
 
     def __len__(self):
@@ -507,33 +537,6 @@ class BasisSystem:
         holds phi_j^(p)(x)."""
         return self.tensor([x], top)[0]
 
-    def _gather(self, top):
-        """(I, F), both (top+1) x (n+1).  tensor lists per point the
-        values x^k for k < table size, then each other member's column of
-        orders 0 .. top, and entry [p, j] of the tensor is
-        F[p, j] * values[I[p, j]]: for a power member of exponent s,
-        F = perm(s, p), which is 0 for p > s, and I = s - p clipped at 0;
-        for another member F = 1.0, which leaves its value as it is.
-        Cached per top."""
-        if top not in self._gathers:
-            index, factor = [], []
-            for p in range(top + 1):
-                start = self._table_size + p
-                index_row, factor_row = [], []
-                for s in self._exponents:
-                    if s is None:
-                        index_row.append(start)
-                        factor_row.append(1.0)
-                        start += top + 1
-                    else:
-                        index_row.append(max(s - p, 0))
-                        factor_row.append(float(math.perm(s, p)))
-                index.append(index_row)
-                factor.append(factor_row)
-            self._gathers[top] = (np.array(index, dtype=np.intp),
-                                  np.array(factor))
-        return self._gathers[top]
-
     def tensor(self, xs, top):
         """(m, top+1, n+1) array whose entry [i, p, j] is phi_j^(p)(xs[i]).
 
@@ -552,7 +555,7 @@ class BasisSystem:
             raise OrderExceedsCap(
                 "derivative order %d exceeds cap %d" % (top, self._cap)
             )
-        index, factor = self._gather(top)
+        index, factor = _gather(self._exponents, self._table_size, top)
         powers = range(self._table_size)
         values = []
         for x in xs:

@@ -15,16 +15,19 @@ for the null vector c of B, with one kappa for every probe row, the ratio
 Q'/Q is (r_{alpha+1} . c) / (r_alpha . c): one SVD of B per sweep
 (confluent.node_null_vector) serves all roots and both probe orders.  A
 rank guard stops the solve when B is numerically singular, because c is
-then an arbitrary direction.  For a pure monomial basis the ratio
-Q'/((alpha+1) Q) equals the pairwise sum sum_{j != i} alpha_j/(x_i - x_j)
-(_pairwise_sums), which is the ehrlich form's stand-in for it.
+then an arbitrary direction, and a cancellation guard when |Q| is
+negligible against its terms sum_j |c_j r_j|; neither reads the scale of
+c.  For a pure monomial basis the ratio Q'/((alpha+1) Q) equals the
+pairwise sum sum_{j != i} alpha_j/(x_i - x_j) (_pairwise_sums), which is
+the ehrlich form's stand-in for it.
 
 Every correction reads one snapshot, which only _snapshot builds: the
 input and collision checks, one BasisSystem.tensor over every root up to
 the highest order a correction reads, f^(p) and f^(p+1) at every root
-from one pass of GeneralizedPolynomial.row_sums, and either the null
-vector of B (rows 0 .. alpha_i - 1 of each root, stacked) or the ehrlich
-pairwise sums.  The probe rows are slices of the same tensor.
+from one pass of GeneralizedPolynomial.row_sums, and either Q, its term
+scale and Q' at every root from one product of the probe rows with the
+null vector of B (_q_sums), or the ehrlich pairwise sums.  A correction
+is then scalar arithmetic and guards.
 """
 
 import math
@@ -161,39 +164,26 @@ def _pairwise_sums(xs, mult):
     return [math.fsum(row) for row in quotients.tolist()]
 
 
-def _q_ratio(null, probe, i, x, factor):
-    """Q'(x) / (factor * Q(x)) from the null vector of the node block.
+def _q_sums(rows, mult, c):
+    """(Q, scale, Q') of every root, up to the common factor kappa: with
+    r_p the row of order p of its tensor rows, Q = r_alpha . c and
+    Q' = r_{alpha+1} . c as compensated sums, scale = sum_j |c_j r_j| over
+    the terms of Q, all from one product.  A sum that is not finite is
+    None; single_correction raises OverflowError where it reads one."""
+    orders = mult[:, None] + (0, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # such sums are None
+        terms = rows[np.arange(len(mult))[:, None], orders] * c
+        scales = np.abs(terms[:, 0]).sum(axis=1).tolist()
+    return [(_finite_fsum(q), scale, _finite_fsum(qp))
+            for (q, qp), scale in zip(terms.tolist(), scales)]
 
-    null is node_null_vector of the node block and probe the basis rows of
-    orders alpha_i and alpha_i + 1 at x, the probe point of root i.
-    With r_p the probe row of order p at x, Q = kappa (r_alpha . c)
-    and Q' = kappa (r_{alpha+1} . c), so kappa cancels and each is one
-    compensated dot product.  Two guards raise DegenerateDenominator, and
-    neither depends on the scale of c:
-    - the rank guard, when the node block's singular value ratio is at
-      most DENOMINATOR_FLOOR: c is then no null vector, and the ratio
-      would be an arbitrary step;
-    - the cancellation guard, when |Q| is at most DENOMINATOR_FLOOR times
-      the summed term magnitudes sum_j |c_j r_j|, which fires on genuine
-      cancellation rather than on the overall magnitude of an ill-scaled
-      node block.
-    """
-    c, rank_ratio = null
-    if rank_ratio <= DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(
-            "node block singular value ratio %.3e is at most %g"
-            % (rank_ratio, DENOMINATOR_FLOOR)
-        )
-    terms = c * probe[0]
-    q = math.fsum(terms)
-    scale = float(np.sum(np.abs(terms)))
-    if scale == 0.0 or abs(q) <= DENOMINATOR_FLOOR * scale:
-        raise DegenerateDenominator(
-            "Q_%d(%g) = %.3e is negligible against its term scale %.3e"
-            % (i, x, q, scale)
-        )
-    qp = math.fsum(c * probe[1])
-    return qp / (factor * q)
+
+def _finite_fsum(terms):
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        return None
+    return total if math.isfinite(total) else None
 
 
 def _guarded_quotient(numerator, term_a, term_b, label):
@@ -231,11 +221,12 @@ def _check_inputs(f, multiplicities, settings):
 
 
 def _snapshot(f, state, settings):
-    """Checks the inputs and collisions, then returns (rows, sums, null,
-    shifts): rows = f.basis.tensor(xs, top) with top the highest order any
-    root needs; sums[i] = f.row_sums of rows p_i and p_i + 1 of root i,
-    the orders its step reads; and null = node_null_vector of the node
-    block (method3, method13) or shifts = the pairwise sums (ehrlich)."""
+    """Checks the inputs and collisions, then returns (sums, rank_ratio,
+    q_sums, shifts) from one f.basis.tensor(xs, top), top the highest
+    order any root needs: sums[i] = f.row_sums of rows p_i and p_i + 1 of
+    root i, the orders its step reads; for method3 and method13, the
+    singular value ratio of the node block and _q_sums on its null
+    vector; for ehrlich, shifts = the pairwise sums."""
     xs, mult = state.approximations, state.multiplicities
     _check_inputs(f, mult, settings)
     _check_collisions(xs)
@@ -247,8 +238,9 @@ def _snapshot(f, state, settings):
     pairs = f.row_sums(read.reshape(-1, rows.shape[2]))
     sums = list(zip(pairs[::2], pairs[1::2]))
     if method == "ehrlich":
-        return rows, sums, None, _pairwise_sums(xs, mult)
-    return rows, sums, node_null_vector(node_rows(rows, mult)), None
+        return sums, None, None, _pairwise_sums(xs, mult)
+    c, rank_ratio = node_null_vector(node_rows(rows, mult))
+    return sums, rank_ratio, _q_sums(rows, mult, c), None
 
 
 def single_correction(f, state, i, settings, snapshot=None):
@@ -256,10 +248,12 @@ def single_correction(f, state, i, settings, snapshot=None):
 
     A sweep passes the _snapshot it builds once; a call without one builds
     it here.  Pure in all arguments, so calls for different i may run in
-    any order or concurrently and produce identical values.
+    any order or concurrently and produce identical values.  Each guard
+    reads only its own entry of the snapshot, in this order: f^(p), the
+    noise-floor hold, the rank guard, Q and its cancellation guard, Q',
+    f^(p+1) and the denominator guard.
     """
-    rows, sums, null, shifts = snapshot or _snapshot(f, state, settings)
-    x = float(state.approximations[i])
+    sums, rank_ratio, q_sums, shifts = snapshot or _snapshot(f, state, settings)
     alpha = int(state.multiplicities[i])
     method = settings.method
     at_p, at_next = sums[i]
@@ -270,13 +264,26 @@ def single_correction(f, state, i, settings, snapshot=None):
     if method == "ehrlich":
         return _guarded_quotient(float(alpha), checked_sums(at_next)[0] / fp,
                                  shifts[i], "ehrlich")
+    if rank_ratio <= DENOMINATOR_FLOOR:
+        raise DegenerateDenominator(
+            "node block singular value ratio %.3e is at most %g"
+            % (rank_ratio, DENOMINATOR_FLOOR))
+    q, scale, qp = q_sums[i]
+    x = state.approximations[i]
+    if q is None:
+        raise OverflowError("a term of Q_%d(%g) is not finite" % (i, x))
+    if scale == 0.0 or abs(q) <= DENOMINATOR_FLOOR * scale:
+        raise DegenerateDenominator(
+            "Q_%d(%g) = %.3e is negligible against its term scale %.3e"
+            % (i, x, q, scale))
+    if qp is None:
+        raise OverflowError("a term of Q'_%d(%g) is not finite" % (i, x))
     if method == "method3":
         numerator, factor = alpha * fp, alpha + 1.0
     else:
         numerator, factor = fp, 2.0
-    ratio = _q_ratio(null, rows[i, alpha:alpha + 2], i, x, factor)
-    return _guarded_quotient(numerator, checked_sums(at_next)[0], fp * ratio,
-                             method)
+    return _guarded_quotient(numerator, checked_sums(at_next)[0],
+                             fp * (qp / (factor * q)), method)
 
 
 def _compute_corrections(f, state, settings, map_=map):

@@ -26,7 +26,7 @@ from simroots import (
     power,
     sine,
 )
-from simroots.basis import _column
+from simroots.basis import _column, _gather
 
 GENERIC_POINTS = (-1.3, -0.4, 0.7, 1.9)
 
@@ -229,6 +229,23 @@ def test_tensor_matches_the_scalar_formulas_bit_for_bit(name):
         assert np.array_equal(system.rows(xs[0], top), tensor[0])
         assert all(tensor[0, p, j] == system.eval(j, xs[0], p)
                    for p in range(top + 1) for j in range(len(system)))
+
+
+def test_systems_with_the_same_members_share_the_gather_tables():
+    # a problem file loaded twice builds two equal systems; the second
+    # must not rebuild the tables of the first
+    members = (power(3), sine(2.5), constant(), power(11), expression("x*x"))
+    first, second = BasisSystem(members), BasisSystem(members)
+    xs = [-0.7, 0.2, 1.3]
+    tensor = first.tensor(xs, 5)
+    before = _gather.cache_info()
+    assert np.array_equal(second.tensor(xs, 5), tensor)
+    after = _gather.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert np.array_equal(tensor, _scalar_tensor(first, xs, 5))
+    # the shared tables cannot be changed through one of the systems
+    index, factor = _gather(first._exponents, first._table_size, 5)
+    assert not index.flags.writeable and not factor.flags.writeable
 
 
 def test_tensor_overflow_matches_the_scalar_formulas():

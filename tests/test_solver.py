@@ -37,7 +37,7 @@ from simroots import (
 from simroots import solver
 from simroots.basis import (BasisSystem, constant, cosine, exponential,
                             expression, power, sine)
-from simroots.confluent import _node_block, node_null_vector
+from simroots.confluent import _node_block, node_null_vector, node_rows
 from simroots.solver import METHODS, _compute_corrections, _step
 
 REFERENCE_ROOTS = RootConfiguration(((-0.5, 2), (3.0, 2)))
@@ -161,6 +161,29 @@ def test_vectorized_snapshot_checks_match_the_loops():
         solver._check_collisions(xs)
 
 
+@pytest.mark.parametrize("method", ["method3", "method13"])
+def test_q_sums_of_every_root_match_the_per_root_sums(reference_problem,
+                                                      method):
+    # Q, its term scale and Q' of every root come from one product per
+    # snapshot; the per-root sums they replaced stay here as the reference
+    _, reference = reference_problem
+    cases = [(reference, IterationState(np.array(REFERENCE_INITIAL),
+                                        np.array(REFERENCE_MULTIPLICITIES))),
+             _monomial_snapshot((1,) * 14),
+             _monomial_snapshot((3, 3, 2, 2, 2))]
+    settings = SolverSettings(method=method)
+    for f, state in cases:
+        _, _, q_sums, _ = solver._snapshot(f, state, settings)
+        mult = state.multiplicities
+        c, _ = node_null_vector(node_rows(
+            f.basis.tensor(state.approximations, int(mult.max()) - 1), mult))
+        for i, (x, alpha) in enumerate(zip(state.approximations, mult)):
+            probe = f.basis.rows(x, alpha + 1)
+            q, qp = c * probe[alpha], c * probe[alpha + 1]
+            assert q_sums[i] == (math.fsum(q), float(np.sum(np.abs(q))),
+                                 math.fsum(qp))
+
+
 def test_shortcut_matches_determinant_ratio():
     system = _monomials(6)
     state = IterationState(np.array([-0.7, 0.25, 1.0]), np.array([2, 1, 2]))
@@ -272,6 +295,24 @@ def test_overflow_lands_in_domain_escape():
             assert report.status is SolveStatus.domain_escape
             assert report.iterations_used == 0
             assert report.final_residuals[0] == float("inf")
+
+
+def test_infinite_q_terms_land_in_domain_escape():
+    # exp(800 x) is finite at the root near 0.886 and exp(801 x) nearly
+    # so, but their first derivatives are inf; the terms of Q there are
+    # inf and -inf, whose sum used to raise ValueError out of solve
+    system = BasisSystem((constant(), exponential(800.0), exponential(801.0)))
+    opposed = GeneralizedPolynomial(system, np.array([1.0, -1.0, 0.5]))
+    # the first derivative of exp(1e10 x) is finite at 6.792e-8 and the
+    # second inf, so Q is finite and Q' is not; the step used to be nan
+    system = BasisSystem((constant(), power(1), exponential(1e10)))
+    steep = GeneralizedPolynomial(system, np.array([1.0, -1.0, 1e-300]))
+    for f, initial in ((opposed, (0.2, 0.8855)), (opposed, (0.886, 0.3)),
+                       (steep, (6.792e-8, -0.5))):
+        for method in ("method3", "method13"):
+            report = solve(f, initial, (1, 1), SolverSettings(method=method))
+            assert report.status is SolveStatus.domain_escape
+            assert report.iterations_used == 0
 
 
 def test_sine_of_an_overflowed_argument_lands_in_domain_escape():
@@ -457,10 +498,15 @@ def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch):
                             counting(name, getattr(BasisSystem, name)))
     monkeypatch.setattr(solver, "_check_collisions",
                         counting("collisions", solver._check_collisions))
-    for method in METHODS:
+    # row_sums takes two sums per row, of f^(p) and f^(p+1): 4 per root.
+    # Q and Q' take one each, and ehrlich's pairwise sum one
+    monkeypatch.setattr(math, "fsum", counting("fsum", math.fsum))
+    m = len(state.approximations)
+    for method, fsums in (("method3", 6 * m), ("method13", 6 * m),
+                          ("ehrlich", 4 * m + m)):
         calls.clear()
         _step(f, state, SolverSettings(method=method))
-        assert calls == {"tensor": 1, "collisions": 1}, method
+        assert calls == {"tensor": 1, "collisions": 1, "fsum": fsums}, method
 
 
 def test_only_the_root_that_escapes_loses_its_residuals():
@@ -526,16 +572,19 @@ def test_dimension_checks(reference_problem):
         IterationState(np.array([0.0, 1.0]), np.array([1]))
 
 
-def _raised_by_every_entry_point(f, state, settings):
+def _raised_by_every_entry_point(f, state, settings, roots=None):
     """The exception type each correction entry point raises on state,
-    one entry per root index for the standalone call."""
+    one entry per root index in roots (default all) for the standalone
+    call."""
     def raised(call):
         with pytest.raises(Exception) as info:
             call()
         return info.type
 
+    if roots is None:
+        roots = range(len(state.approximations))
     standalone = {raised(lambda: single_correction(f, state, i, settings))
-                  for i in range(len(state.approximations))}
+                  for i in roots}
     return standalone | {
         raised(lambda: _compute_corrections(f, state, settings)),
         raised(lambda: parallel_corrections(f, state, settings)),
@@ -572,6 +621,44 @@ def test_ehrlich_off_the_monomial_basis_is_refused_by_every_entry_point(
     settings = SolverSettings(method="ehrlich")
     assert _raised_by_every_entry_point(f, state, settings) \
         == {InvalidConfiguration}
+
+
+def test_a_held_root_does_not_read_its_infinite_q_in_any_entry_point():
+    # f = a0 + x + a2 exp(r x) cancels at x0, where the first derivative
+    # row of exp(r x) is inf, so the terms of Q_0 are not finite; the
+    # sums of every root are formed with the snapshot, and root 0's hold
+    # must return before its Q is read
+    x0, rate, a2 = 6.9e-8, 1e10, 1e-300
+    system = BasisSystem((constant(), power(1), exponential(rate)))
+    f = GeneralizedPolynomial(
+        system, np.array([-(x0 + a2 * math.exp(rate * x0)), 1.0, a2]))
+    state = IterationState(np.array([x0, -0.5]), np.array([1, 1]))
+    for method in ("method3", "method13"):
+        settings = SolverSettings(method=method)
+        assert solver._snapshot(f, state, settings)[2][0][0] is None
+        alone = [single_correction(f, state, i, settings) for i in range(2)]
+        assert alone[0] == 0.0 and math.isfinite(alone[1]) and alone[1] != 0.0
+        assert np.array_equal(alone, _compute_corrections(f, state, settings))
+        assert np.array_equal(alone, parallel_corrections(f, state, settings))
+
+
+def test_a_cancelled_q_is_reported_before_a_later_infinite_q():
+    # every member's first derivative vanishes at 0, so Q_0 has only zero
+    # terms; at 0.8855 the derivative of exp(800 x) is inf, so Q_1 is not
+    # finite.  Each root raises its own error, and a sweep the first in
+    # root order
+    system = BasisSystem((constant(), power(2),
+                          expression("exp(800*x) - 800*x")))
+    f = GeneralizedPolynomial(system, np.array([1.0, -1.0, 0.5]))
+    state = IterationState(np.array([0.0, 0.8855]), np.array([1, 1]))
+    for method in ("method3", "method13"):
+        settings = SolverSettings(method=method)
+        with pytest.raises(OverflowError):
+            single_correction(f, state, 1, settings)
+        assert _raised_by_every_entry_point(f, state, settings, roots=[0]) \
+            == {DegenerateDenominator}, method
+        report = solve(f, state.approximations, (1, 1), settings)
+        assert report.status is SolveStatus.degenerate_denominator
 
 
 def test_sine_and_cosine_of_an_overflowed_argument_land_in_domain_escape():
