@@ -28,6 +28,10 @@ from one pass of GeneralizedPolynomial.row_sums, and either Q, its term
 scale and Q' at every root from one product of the probe rows with the
 null vector of B (_q_sums), or the ehrlich pairwise sums.  A correction
 is then scalar arithmetic and guards.
+
+So a sweep and the checks on its result are pure functions of the
+approximations, and solve replays the sweeps after an accepted state
+repeats the bytes of an earlier one instead of recomputing them.
 """
 
 import math
@@ -374,20 +378,36 @@ def solve(f, initial, multiplicities, settings=None):
     Inputs no sweep can iterate raise DimensionMismatch or
     InvalidConfiguration (see IterationState and _check_inputs).  The
     report history includes the initial snapshot, so its length is
-    iterations_used + 1.
+    iterations_used + 1.  Once state k has the approximation bytes of an
+    earlier state j (bytes keep -0.0 apart from 0.0), state k + i would
+    repeat state j + i, checks and all, until the budget runs out; those
+    states are copied from the history, not computed.
     """
     settings = settings or SolverSettings()
     state = IterationState(np.array(initial, dtype=float), multiplicities)
     mult = state.multiplicities
     _check_inputs(f, mult, settings)
     history = [state]
-    status = sums = None
+    status = sums = summed = None
+    seen = {}  # approximations.tobytes() -> k of every accepted state
 
     if not all(f.basis.contains(x) for x in state.approximations):
         status = SolveStatus.domain_escape
 
     while status is None:
         if state.k >= settings.max_iterations:
+            status = SolveStatus.max_iterations
+            break
+        period = state.k - seen.setdefault(
+            state.approximations.tobytes(), state.k)
+        if period:
+            # state k repeats state k - period: every later sweep repeats
+            # the one period sweeps before it, checks and all
+            while len(history) <= settings.max_iterations:
+                source = history[len(history) - period]
+                history.append(IterationState(
+                    source.approximations.copy(), mult, len(history),
+                    source.last_corrections.copy()))
             status = SolveStatus.max_iterations
             break
         try:
@@ -408,7 +428,7 @@ def solve(f, initial, multiplicities, settings=None):
             status = SolveStatus.domain_escape
             break
         if float(np.max(np.abs(corrections))) < settings.tolerance:
-            sums = _residual_sums(f, new, mult)
+            sums, summed = _residual_sums(f, new, mult), new.tobytes()
             if _residuals_validate(sums):
                 status = SolveStatus.converged
                 break
@@ -416,6 +436,6 @@ def solve(f, initial, multiplicities, settings=None):
             # multiplicities; keep stepping until the budget runs out
 
     final = history[-1]
-    if status is not SolveStatus.converged:
+    if summed != final.approximations.tobytes():
         sums = _residual_sums(f, final.approximations, mult)
     return SolveReport(history, status, final.k, _final_residuals(sums, mult))

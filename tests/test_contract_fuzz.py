@@ -6,9 +6,14 @@ exponentials and the inverse quadratic, with starts anywhere in
 - solve returns a report or raises one of its input errors
   (DimensionMismatch, InvalidConfiguration);
 - single_correction, called alone, and the sweep's _compute_corrections
-  agree bitwise on every drawn snapshot, or raise the same exception.
+  agree bitwise on every drawn snapshot, or raise the same exception;
+- solve, which replays the sweeps after a repeated snapshot, gives the
+  report of the loop that computes every sweep, bit for bit, or raises the
+  same input error.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +32,8 @@ from simroots import (
 from simroots.basis import (BasisSystem, constant, cosine, exponential,
                             inverse_quadratic, power, sine)
 from simroots.solver import METHODS, _compute_corrections
+
+from reference_loop import reference_solve, report_bytes
 
 # no deadline or speed health check: timings vary with the host's load
 FUZZ = settings(derandomize=True, database=None, max_examples=100,
@@ -110,3 +117,17 @@ def test_standalone_and_swept_corrections_agree(problem):
     else:
         assert not isinstance(standalone[-1], type), standalone[-1]
         assert np.array(standalone).tobytes() == swept.tobytes()
+
+
+@FUZZ
+@given(problems(), st.sampled_from([8, 30]))
+def test_solve_matches_the_loop_that_computes_every_sweep(problem, budget):
+    f, initial, multiplicities, solver_settings = problem
+    solver_settings = replace(solver_settings, max_iterations=budget)
+    expected = _outcome(lambda: report_bytes(reference_solve(
+        f, initial, multiplicities, solver_settings)))
+    got = _outcome(lambda: report_bytes(solve(
+        f, initial, multiplicities, solver_settings)))
+    if isinstance(expected, type):
+        assert expected in (DimensionMismatch, InvalidConfiguration)
+    assert got == expected

@@ -40,6 +40,8 @@ from simroots.basis import (BasisSystem, constant, cosine, exponential,
 from simroots.confluent import _node_block, node_null_vector, node_rows
 from simroots.solver import METHODS, _compute_corrections, _step
 
+from reference_loop import reference_solve, report_bytes
+
 REFERENCE_ROOTS = RootConfiguration(((-0.5, 2), (3.0, 2)))
 REFERENCE_INITIAL = (-0.4, 2.8)
 REFERENCE_MULTIPLICITIES = (2, 2)
@@ -377,6 +379,101 @@ def test_wrong_multiplicity_claim_never_converges():
     assert report.history[-1].approximations == pytest.approx((0.0, 1.0))
 
 
+def _mixed_problem():
+    """Roots -0.8, -0.4, 0, 0.4, 0.8 of multiplicities (3, 3, 2, 2, 2) on
+    the monomial basis, started 10% of the gap away with alternating signs."""
+    roots = (-0.8, -0.4, 0.0, 0.4, 0.8)
+    f = from_roots(_monomials(13), RootConfiguration(
+        tuple(zip(roots, (3, 3, 2, 2, 2)))))
+    step = 0.1 * (roots[1] - roots[0])
+    initial = tuple(r + (-1) ** k * step for k, r in enumerate(roots))
+    return f, initial, (3, 3, 2, 2, 2)
+
+
+def _held_method13_problem():
+    """Double roots on the reference basis where method13 holds a point
+    that fails validation from k = 6 on."""
+    f = from_roots(make_reference_basis(), RootConfiguration(
+        ((-0.32763850823136387, 2), (3.02553001806857, 2))))
+    return f, (-0.26822084284813824, 3.0950106563584274), (2, 2)
+
+
+def _wrong_claim_problem(initial):
+    f = from_roots(_monomials(4), RootConfiguration(((0.0, 1), (1.0, 1),
+                                                     (2.0, 1))))
+    return f, initial, (2, 1)
+
+
+# (problem, method, j, k): state k is the first to repeat an earlier state
+# j bit for bit, at the default budget of 50 sweeps
+CYCLES = {
+    "mixed method3": (_mixed_problem, "method3", 19, 21),
+    "mixed ehrlich": (_mixed_problem, "ehrlich", 17, 19),
+    "held method13": (_held_method13_problem, "method13", 6, 7),
+    "wrong claim": (lambda: _wrong_claim_problem((0.0, 1.0)), "method3", 3, 5),
+    "back to state 0": (lambda: _wrong_claim_problem((1.0, 2.0)), "method3",
+                        0, 1),
+}
+
+
+def _first_repeat(history):
+    seen = {}
+    for state in history:
+        j = seen.setdefault(state.approximations.tobytes(), state.k)
+        if j != state.k:
+            return j, state.k
+    return None
+
+
+@pytest.mark.parametrize("name", CYCLES)
+def test_replayed_cycles_match_the_computed_loop(name):
+    problem, method, j, k = CYCLES[name]
+    f, initial, multiplicities = problem()
+    for budget in sorted({max(1, k - 1), k, k + 1, k + 2 * (k - j) + 1, 50}):
+        settings = SolverSettings(method=method, max_iterations=budget)
+        expected = reference_solve(f, initial, multiplicities, settings)
+        report = solve(f, initial, multiplicities, settings)
+        assert report_bytes(report) == report_bytes(expected), budget
+        assert expected.status is SolveStatus.max_iterations
+        if budget == 50:
+            assert _first_repeat(expected.history) == (j, k)
+
+
+# (name, computed sweeps, _residual_sums calls) at the default budget:
+# one sum per computed state that meets the tolerance, and one for the
+# final state unless it has the bytes of the last of them, as in a
+# period-1 hold
+@pytest.mark.parametrize("name, sweeps, sums", [("mixed ehrlich", 19, 1),
+                                                ("mixed method3", 21, 1),
+                                                ("held method13", 7, 1),
+                                                ("wrong claim", 5, 6),
+                                                ("back to state 0", 1, 1)])
+def test_sweeps_after_a_repeat_are_not_computed(name, sweeps, sums,
+                                                monkeypatch):
+    problem, method, _, _ = CYCLES[name]
+    f, initial, multiplicities = problem()
+    calls = Counter()
+    monkeypatch.setattr(solver, "_step",
+                        _counting(calls, "step", solver._step))
+    monkeypatch.setattr(solver, "_residual_sums",
+                        _counting(calls, "sums", solver._residual_sums))
+    report = solve(f, initial, multiplicities, SolverSettings(method=method))
+    assert report.iterations_used == 50
+    assert calls == {"step": sweeps, "sums": sums}
+
+
+@pytest.mark.parametrize("name", ["mixed ehrlich", "back to state 0"])
+def test_history_entries_share_no_memory(name):
+    problem, method, _, _ = CYCLES[name]
+    f, initial, multiplicities = problem()
+    report = solve(f, initial, multiplicities, SolverSettings(method=method))
+    arrays = [a for s in report.history
+              for a in (s.approximations, s.last_corrections) if a is not None]
+    assert len(arrays) == 2 * len(report.history) - 1
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
+
+
 def test_scale_invariance_of_a_single_step(reference_problem):
     system, f = reference_problem
     state = IterationState(np.array(REFERENCE_INITIAL),
@@ -482,15 +579,19 @@ def test_shared_rows_give_the_same_corrections(method):
         assert np.array_equal(alone, parallel_corrections(f, state, settings))
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch):
     f, state = _monomial_snapshot((1,) * 14)
     calls = Counter()
 
     def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+        return _counting(calls, name, fn)
 
     # one tensor holds every root's rows; rows and eval are views of it
     for name in ("tensor", "rows", "eval"):
