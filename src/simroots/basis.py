@@ -11,8 +11,8 @@ differencing is involved anywhere in the evaluation path.
 
 BasisSystem.tensor gives every member's derivatives of orders 0 .. top at
 a batch of points.  Power members (and the constant, the power x^0) read
-one table of libm powers x^k per point, scaled by falling factorials in
-one numpy product; every other member runs its scalar formula once per
+one np.float_power table of libm powers x^k, scaled by falling factorials
+in one numpy product; every other member runs its scalar formula once per
 point.  rows is the tensor of one point.  eval gives one entry of it
 from one member alone, through the same formula (perm(s, p) * x ** (s - p)
 for a power), so it checks only that member's cap and overflow.
@@ -494,6 +494,7 @@ class BasisSystem:
                 ("_cap", min(b.derivative_cap for b in self.functions)),
                 ("_exponents", exponents),
                 ("_table_size", table_size),
+                ("_orders", np.arange(table_size, dtype=float)),
                 ("_others", [b for b, s in zip(self.functions, exponents)
                              if s is None])):
             object.__setattr__(self, name, value)
@@ -509,19 +510,19 @@ class BasisSystem:
         lo, hi = self.domain
         return math.isfinite(x) and lo < x < hi
 
-    def _check_domain(self, x):
-        if not self.contains(x):
-            lo, hi = self.domain
-            raise DomainError(
-                "x=%r outside open interval (%g, %g)" % (x, lo, hi)
-            )
+    def _check_domain(self, xs):
+        lo, hi = self.domain
+        for x in xs:  # for a float, lo < x < hi is contains(x)
+            if not lo < x < hi:
+                raise DomainError(
+                    "x=%r outside open interval (%g, %g)" % (x, lo, hi))
 
     def eval(self, j, x, p=0):
         """Evaluate the p-th derivative of member j at x, bit for bit entry
         (p, j) of rows(x, p), from member j alone: OrderExceedsCap only if
         p exceeds its own cap, and no other member is evaluated."""
         x = float(x)
-        self._check_domain(x)
+        self._check_domain((x,))
         b = self.functions[j]
         if p > b.derivative_cap:
             raise OrderExceedsCap(
@@ -541,30 +542,37 @@ class BasisSystem:
         """(m, top+1, n+1) array whose entry [i, p, j] is phi_j^(p)(xs[i]).
 
         Each entry is bit for bit what member j's formula gives at xs[i]
-        alone: x^(s-p) is one libm pow call (Python's float ** int), as
-        perm(s, p) * x ** (s - p) makes it, and every other member runs
-        its scalar formula once per point.  Raises DomainError for a
-        point outside the domain, OrderExceedsCap when top exceeds the
-        system's cap, and OverflowError where a power or a member's
-        formula leaves the float range.
+        alone: x^(s-p) is one libm pow call, as Python's float ** int in
+        perm(s, p) * x ** (s - p) makes it, from one np.float_power (not
+        np.power, which need not call pow), and every other member runs
+        its scalar formula once per point.  Raises DomainError for a point
+        outside the domain, OrderExceedsCap when top exceeds the system's
+        cap, and OverflowError where a power or a member's formula leaves
+        the float range, point by point: x's highest power, then its
+        other members.
         """
-        xs = [float(x) for x in xs]
-        for x in xs:
-            self._check_domain(x)
+        points = np.asarray(xs, dtype=float)
+        xs = points.tolist()
+        self._check_domain(xs)
         if top > self._cap:
             raise OrderExceedsCap(
                 "derivative order %d exceeds cap %d" % (top, self._cap)
             )
         index, factor = _gather(self._exponents, self._table_size, top)
-        powers = range(self._table_size)
-        values = []
+        table = self._table_size
+        others = []
         for x in xs:
-            point = [x ** k for k in powers]
+            x ** (table - 1)  # raises if a power of x overflows
+            point = []
             for b in self._others:
                 point += _column(b, x, top)
-            values.append(point)
+            others.append(point)
+        values = np.empty((len(xs), table + len(self._others) * (top + 1)))
+        np.float_power(points[:, None], self._orders, out=values[:, :table])
+        if self._others:
+            values[:, table:] = others
         with np.errstate(over="ignore"):  # inf, as int * float gives it
-            return factor * np.array(values).take(index, axis=1)
+            return factor * values.take(index, axis=1)
 
 
 def make_reference_basis():

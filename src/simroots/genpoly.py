@@ -46,9 +46,8 @@ class GeneralizedPolynomial:
         nan, or a ValueError for inf - inf), or an fsum that overflows.
         checked_sums() turns that None into OverflowError where it is read.
         """
-        a = self.coefficients
-        nonzero = a != 0.0
-        return [_sums(terms) for terms in (rows[:, nonzero] * a[nonzero]).tolist()]
+        columns = np.flatnonzero(self.coefficients)
+        return _term_sums(rows[:, columns], self.coefficients[columns])
 
     def eval(self, x, p=0):
         """Evaluate the p-th derivative at x by compensated summation."""
@@ -59,6 +58,12 @@ class GeneralizedPolynomial:
     def term_magnitude(self, x, p=0):
         """Sum of |a_j phi_j^(p)(x)|, the roundoff scale of eval(x, p)."""
         return checked_sums(self.row_sums(self.basis.rows(x, p)[p:])[0])[1]
+
+
+def _term_sums(rows, coefficients):
+    """row_sums of rows already cut to the columns of these coefficients."""
+    with np.errstate(over="ignore"):  # a product out of range gives None
+        return [_sums(terms) for terms in (rows * coefficients).tolist()]
 
 
 def _sums(terms):

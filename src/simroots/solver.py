@@ -21,13 +21,13 @@ c.  For a pure monomial basis the ratio Q'/((alpha+1) Q) equals the
 pairwise sum sum_{j != i} alpha_j/(x_i - x_j) (_pairwise_sums), which is
 the ehrlich form's stand-in for it.
 
+A solve checks its inputs and indexes what its sweeps read once (_plan).
 Every correction reads one snapshot, which only _snapshot builds: the
-input and collision checks, one BasisSystem.tensor over every root up to
-the highest order a correction reads, f^(p) and f^(p+1) at every root
-from one pass of GeneralizedPolynomial.row_sums, and either Q, its term
-scale and Q' at every root from one product of the probe rows with the
-null vector of B (_q_sums), or the ehrlich pairwise sums.  A correction
-is then scalar arithmetic and guards.
+collision check, one BasisSystem.tensor over every root, f^(p) and
+f^(p+1) at every root from one product with the nonzero coefficients,
+and either Q, its term scale and Q' at every root from one product of
+the probe rows with the null vector of B (_q_sums), or the ehrlich
+pairwise sums.  A correction is then scalar arithmetic and guards.
 
 So a sweep and the checks on its result are pure functions of the
 approximations, and solve replays the sweeps after an accepted state
@@ -37,6 +37,7 @@ repeats the bytes of an earlier one instead of recomputing them.
 import math
 import numbers
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -51,7 +52,7 @@ from .errors import (
     InvalidConfiguration,
     IterateCollision,
 )
-from .genpoly import checked_sums
+from .genpoly import _term_sums, checked_sums
 
 EPS = float(np.finfo(float).eps)
 
@@ -168,15 +169,14 @@ def _pairwise_sums(xs, mult):
     return [math.fsum(row) for row in quotients.tolist()]
 
 
-def _q_sums(rows, mult, c):
+def _q_sums(probes, c):
     """(Q, scale, Q') of every root, up to the common factor kappa: with
-    r_p the row of order p of its tensor rows, Q = r_alpha . c and
+    probes[i] = (r_alpha, r_{alpha+1}) of root i, Q = r_alpha . c and
     Q' = r_{alpha+1} . c as compensated sums, scale = sum_j |c_j r_j| over
     the terms of Q, all from one product.  A sum that is not finite is
     None; single_correction raises OverflowError where it reads one."""
-    orders = mult[:, None] + (0, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # such sums are None
-        terms = rows[np.arange(len(mult))[:, None], orders] * c
+        terms = probes * c
         scales = np.abs(terms[:, 0]).sum(axis=1).tolist()
     return [(_finite_fsum(q), scale, _finite_fsum(qp))
             for (q, qp), scale in zip(terms.tolist(), scales)]
@@ -202,49 +202,65 @@ def _guarded_quotient(numerator, term_a, term_b, label):
     return numerator / den
 
 
-def _top_order(method, alpha):
-    # method3 and method13 read the probe row of order alpha + 1
-    return 1 if method == "ehrlich" else int(alpha) + 1
-
-
 def _check_inputs(f, multiplicities, settings):
     """DimensionMismatch unless the multiplicities sum to the basis degree;
     InvalidConfiguration for ehrlich off the monomial basis, or when the
-    method needs derivatives above the basis cap."""
+    method needs derivatives above the basis cap.  Returns the highest
+    order the method reads."""
     if int(multiplicities.sum()) != len(f.basis) - 1:
         raise DimensionMismatch(
             "multiplicities sum to %d but the basis supports degree %d"
             % (int(multiplicities.sum()), len(f.basis) - 1))
     if settings.method == "ehrlich" and not is_monomial_basis(f.basis):
         raise InvalidConfiguration("ehrlich needs the monomial basis")
-    order = _top_order(settings.method, multiplicities.max(initial=1))
+    # method3 and method13 read the probe row of order alpha + 1
+    order = 1 if settings.method == "ehrlich" else int(
+        multiplicities.max(initial=1)) + 1
     if order > f.basis.derivative_cap:
         raise InvalidConfiguration(
             "%s needs derivatives of order %d but the basis caps them at %d"
             % (settings.method, order, f.basis.derivative_cap))
+    return order
 
 
-def _snapshot(f, state, settings):
-    """Checks the inputs and collisions, then returns (sums, rank_ratio,
-    q_sums, shifts) from one f.basis.tensor(xs, top), top the highest
-    order any root needs: sums[i] = f.row_sums of rows p_i and p_i + 1 of
-    root i, the orders its step reads; for method3 and method13, the
-    singular value ratio of the node block and _q_sums on its null
-    vector; for ehrlich, shifts = the pairwise sums."""
-    xs, mult = state.approximations, state.multiplicities
-    _check_inputs(f, mult, settings)
-    _check_collisions(xs)
-    method = settings.method
-    rows = f.basis.tensor(xs, _top_order(method, mult.max()))
+_Plan = namedtuple("_Plan", "top read node probe nonzero")
+
+
+def _plan(f, mult, settings):
+    """_check_inputs, then what the sweeps of a solve read, indexed once:
+    the top order of a sweep's tensor; in it, flat indices of the entries
+    at the nonzero coefficients of orders p_i, p_i + 1 of root i (read),
+    and of the rows of the node block (node) and of orders alpha_i,
+    alpha_i + 1 of root i (probe), which ehrlich does not read; and the
+    nonzero coefficients."""
+    top = _check_inputs(f, mult, settings)
+    columns = np.flatnonzero(f.coefficients)
+    first = np.arange(len(mult)) * (top + 1)  # root i's row of order 0
     # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
-    p = mult - 1 if method == "method13" else np.zeros_like(mult)
-    read = rows[np.arange(len(xs))[:, None], p[:, None] + (0, 1)]
-    pairs = f.row_sums(read.reshape(-1, rows.shape[2]))
+    p = first + (mult - 1 if settings.method == "method13" else 0)
+    read = (p[:, None] + (0, 1)).reshape(-1, 1) * len(f.basis) + columns
+    return _Plan(top, read, np.flatnonzero(np.arange(top + 1) < mult[:, None]),
+                 (first + mult)[:, None] + (0, 1), f.coefficients[columns])
+
+
+def _snapshot(f, state, settings, plan=None):
+    """Checks the collisions, then returns (sums, rank_ratio, q_sums,
+    shifts) from one f.basis.tensor(xs, top), top the highest order any
+    root needs: sums[i] = f.row_sums of rows p_i and p_i + 1 of root i,
+    the orders its step reads; for method3 and method13, the singular
+    value ratio of the node block and _q_sums on its null vector; for
+    ehrlich, shifts = the pairwise sums.  A call without a plan builds it."""
+    plan = plan or _plan(f, state.multiplicities, settings)
+    xs, mult = state.approximations, state.multiplicities
+    _check_collisions(xs)
+    rows = f.basis.tensor(xs, plan.top)
+    pairs = _term_sums(rows.take(plan.read), plan.nonzero)
     sums = list(zip(pairs[::2], pairs[1::2]))
-    if method == "ehrlich":
+    if settings.method == "ehrlich":
         return sums, None, None, _pairwise_sums(xs, mult)
-    c, rank_ratio = node_null_vector(node_rows(rows, mult))
-    return sums, rank_ratio, _q_sums(rows, mult, c), None
+    rows = rows.reshape(-1, rows.shape[2])
+    c, rank_ratio = node_null_vector(rows[plan.node])
+    return sums, rank_ratio, _q_sums(rows[plan.probe], c), None
 
 
 def single_correction(f, state, i, settings, snapshot=None):
@@ -290,13 +306,13 @@ def single_correction(f, state, i, settings, snapshot=None):
                              fp * (qp / (factor * q)), method)
 
 
-def _compute_corrections(f, state, settings, map_=map):
+def _compute_corrections(f, state, settings, map_=map, plan=None):
     """Corrections for every root index of the snapshot, in index order.
 
     map_ runs single_correction over the indices with one shared _snapshot:
     the builtin map in turn, an executor's map concurrently.
     """
-    snapshot = _snapshot(f, state, settings)
+    snapshot = _snapshot(f, state, settings, plan)
     return np.array(list(map_(
         lambda i: single_correction(f, state, i, settings, snapshot),
         range(len(state.approximations)))))
@@ -313,8 +329,8 @@ def parallel_corrections(f, state, settings):
         return _compute_corrections(f, state, settings, pool.map)
 
 
-def _step(f, state, settings):
-    corrections = _compute_corrections(f, state, settings)
+def _step(f, state, settings, plan=None):
+    corrections = _compute_corrections(f, state, settings, plan=plan)
     with np.errstate(over="ignore"):  # an inf iterate ends in domain_escape
         return state.approximations - corrections, corrections
 
@@ -370,28 +386,38 @@ def _final_residuals(sums, multiplicities):
     return out
 
 
+def _accepted(approximations, multiplicities, k, corrections):
+    """An IterationState of checked arrays, not validated again."""
+    state = object.__new__(IterationState)
+    state.__dict__.update(approximations=approximations, k=k,
+                          multiplicities=multiplicities.copy(),
+                          last_corrections=corrections)
+    return state
+
+
 def solve(f, initial, multiplicities, settings=None):
     """Iterate the selected method until the largest correction falls
     below tolerance, the iteration budget runs out, or a guard fires.
 
     Guards never raise out of this function; they land in report.status.
     Inputs no sweep can iterate raise DimensionMismatch or
-    InvalidConfiguration (see IterationState and _check_inputs).  The
-    report history includes the initial snapshot, so its length is
-    iterations_used + 1.  Once state k has the approximation bytes of an
-    earlier state j (bytes keep -0.0 apart from 0.0), state k + i would
-    repeat state j + i, checks and all, until the budget runs out; those
-    states are copied from the history, not computed.
+    InvalidConfiguration (see IterationState and _check_inputs), checked
+    once for the _plan all sweeps read.  The report history includes the
+    initial snapshot, so its length is iterations_used + 1.  Once state k
+    has the approximation bytes of an earlier state j (bytes keep -0.0
+    apart from 0.0), state k + i would repeat state j + i, checks and all,
+    until the budget runs out; those states are copied from the history,
+    neither computed nor validated again.
     """
     settings = settings or SolverSettings()
     state = IterationState(np.array(initial, dtype=float), multiplicities)
     mult = state.multiplicities
-    _check_inputs(f, mult, settings)
+    plan = _plan(f, mult, settings)
     history = [state]
     status = sums = summed = None
     seen = {}  # approximations.tobytes() -> k of every accepted state
 
-    if not all(f.basis.contains(x) for x in state.approximations):
+    if not all(map(f.basis.contains, state.approximations.tolist())):
         status = SolveStatus.domain_escape
 
     while status is None:
@@ -405,13 +431,13 @@ def solve(f, initial, multiplicities, settings=None):
             # the one period sweeps before it, checks and all
             while len(history) <= settings.max_iterations:
                 source = history[len(history) - period]
-                history.append(IterationState(
+                history.append(_accepted(
                     source.approximations.copy(), mult, len(history),
                     source.last_corrections.copy()))
             status = SolveStatus.max_iterations
             break
         try:
-            new, corrections = _step(f, state, settings)
+            new, corrections = _step(f, state, settings, plan)
         except IterateCollision:
             status = SolveStatus.iterate_collision
             break
@@ -422,9 +448,9 @@ def solve(f, initial, multiplicities, settings=None):
             # an evaluation left the basis domain or the float range
             status = SolveStatus.domain_escape
             break
-        state = IterationState(new, mult, state.k + 1, corrections)
+        state = _accepted(new, mult, state.k + 1, corrections)
         history.append(state)
-        if not all(f.basis.contains(x) for x in new):
+        if not all(map(f.basis.contains, new.tolist())):
             status = SolveStatus.domain_escape
             break
         if float(np.max(np.abs(corrections))) < settings.tolerance:

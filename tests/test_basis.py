@@ -265,6 +265,46 @@ def test_tensor_overflow_matches_the_scalar_formulas():
                 _scalar_power(200, x, 0)
 
 
+def test_float_power_is_python_pow_bit_for_bit():
+    # tensor's power table is one np.float_power call; Python's x ** k is
+    # the scalar formula.  Both are one libm pow per entry: the corpus
+    # holds signed zeros, subnormal results (1e-3^k from k = 103) and
+    # every k at which the powers of 30 and 1e3 overflow, where x ** k
+    # raises and the table holds the signed inf
+    rng = random.Random(20)
+    centres = [s * c for s in (1.0, -1.0)
+               for c in (1e-3, 0.5, 1.0, 1.5, 3.0, 30.0, 1e3)]
+    xs = [0.0, -0.0] + centres + [c * rng.uniform(0.5, 2.0)
+                                  for c in centres for _ in range(14)]
+    orders = range(241)
+    with np.errstate(over="ignore"):
+        table = np.float_power(np.array(xs)[:, None], np.arange(241.0))
+    expected = []
+    for x in xs:
+        for k in orders:
+            try:
+                expected.append(x ** k)
+            except OverflowError:
+                expected.append(math.copysign(math.inf, x) if k % 2
+                                else math.inf)
+    assert table.size == len(expected) > 50_000
+    assert math.inf in expected and any(0.0 < abs(v) < 2.2e-308
+                                        for v in expected)
+    assert np.array_equal(table.ravel().view(np.int64),
+                          np.array(expected).view(np.int64))
+
+
+def test_tensor_raises_in_the_order_of_the_per_point_loop():
+    # a point's powers come before its other members, and its members
+    # before the next point's powers: 1/x has a pole at 0, and 1e3^200
+    # overflows
+    system = BasisSystem((constant(), power(200), expression("1/x")))
+    with pytest.raises(DivisionBySingularJet):
+        system.tensor([0.0, 1e3], 2)
+    with pytest.raises(OverflowError):
+        system.tensor([1e3, 0.0], 2)
+
+
 @pytest.mark.parametrize("bad", [
     "2*+3",
     "x^1.5",

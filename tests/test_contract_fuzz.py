@@ -1,8 +1,9 @@
 """Seeded fuzzing of the solver contract on small catalog bases.
 
-Two claims, on bases drawn from powers, sine/cosine with omega up to 1e3,
-exponentials and the inverse quadratic, with starts anywhere in
-[-1e308, 1e308]:
+Three claims, on bases drawn from powers, sine/cosine with omega up to
+1e3, exponentials and the inverse quadratic, with coefficients in [-1, 1]
+or anywhere in [-1e300, 1e300], where products with the basis values
+leave the float range, and starts anywhere in [-1e308, 1e308]:
 - solve returns a report or raises one of its input errors
   (DimensionMismatch, InvalidConfiguration);
 - single_correction, called alone, and the sweep's _compute_corrections
@@ -46,6 +47,7 @@ MEMBERS = st.one_of(
     st.floats(-5.0, 5.0).filter(bool).map(exponential),
     st.just(inverse_quadratic()),
 )
+COEFFICIENTS = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e300, 1e300))
 STARTS = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e308, 1e308),
                    st.sampled_from([-1e308, -1e200, 1e200, 1e308]))
 
@@ -62,7 +64,7 @@ def problems(draw):
     else:
         members = draw(st.lists(MEMBERS, min_size=degree, max_size=degree))
     system = BasisSystem((constant(), *members))
-    coefficients = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(system),
+    coefficients = draw(st.lists(COEFFICIENTS, min_size=len(system),
                                  max_size=len(system)).filter(any))
     f = GeneralizedPolynomial(system, np.array(coefficients))
     broken = draw(st.sampled_from([None] * 5 + [0, 2.5, "sum"]))

@@ -69,7 +69,9 @@ def test_null_vector_ratio_against_the_oracle(name):
     cfg = RootConfiguration(nodes)
     c, _ = node_null_vector(_node_block(basis, cfg))
     mult = np.array(cfg.multiplicities)
-    q_sums = _q_sums(basis.tensor(cfg.locations, int(mult.max()) + 1), mult, c)
+    tensor = basis.tensor(cfg.locations, int(mult.max()) + 1)
+    probes = tensor[np.arange(len(mult))[:, None], mult[:, None] + (0, 1)]
+    q_sums = _q_sums(probes, c)
     null_error = pivoted_error = 0.0
     for i, (x, alpha) in enumerate(cfg.nodes):
         exact = _oracle_ratio(basis, cfg, i, x)

@@ -7,6 +7,7 @@ reference values for this configuration.
 """
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -329,6 +330,18 @@ def test_sine_of_an_overflowed_argument_lands_in_domain_escape():
         assert report.final_residuals[0] == float("inf")
 
 
+def test_a_product_of_f_out_of_range_lands_in_domain_escape():
+    # each x^j is finite at 1e5 and 3e5, but 1e300 x^2 is not: the product
+    # of the coefficients with the rows used to warn out of solve
+    f = GeneralizedPolynomial(BasisSystem((constant(), power(1), power(2))),
+                              np.array([1e300, -3e300, 1e300]))
+    for method in METHODS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(f, (1e5, 3e5), (1, 1), SolverSettings(method=method))
+        assert report.status is SolveStatus.domain_escape, method
+
+
 def test_domain_escape():
     system = BasisSystem((constant(), power(1), power(2)), (-1.0, 1.0))
     f = GeneralizedPolynomial(system, np.array([-4.0, 0.0, 1.0]))
@@ -462,14 +475,35 @@ def test_sweeps_after_a_repeat_are_not_computed(name, sweeps, sums,
     assert calls == {"step": sweeps, "sums": sums}
 
 
+def test_a_solve_checks_its_input_once(monkeypatch):
+    # the fixed mixed ehrlich problem computes 19 sweeps and replays 31:
+    # the sweeps share the plan that checked the input, and the states
+    # that solve accepts or replays are not validated again
+    f, initial, multiplicities = _mixed_problem()
+    calls = Counter()
+    monkeypatch.setattr(solver, "_check_inputs",
+                        _counting(calls, "inputs", solver._check_inputs))
+    monkeypatch.setattr(IterationState, "__post_init__", _counting(
+        calls, "state", IterationState.__post_init__))
+    monkeypatch.setattr(solver, "_step",
+                        _counting(calls, "step", solver._step))
+    report = solve(f, initial, multiplicities, SolverSettings(method="ehrlich"))
+    assert report.iterations_used == 50
+    assert calls == {"inputs": 1, "state": 1, "step": 19}
+    for state in report.history:
+        assert isinstance(state, IterationState)
+        assert state.multiplicities.tolist() == list(multiplicities)
+
+
 @pytest.mark.parametrize("name", ["mixed ehrlich", "back to state 0"])
 def test_history_entries_share_no_memory(name):
     problem, method, _, _ = CYCLES[name]
     f, initial, multiplicities = problem()
     report = solve(f, initial, multiplicities, SolverSettings(method=method))
     arrays = [a for s in report.history
-              for a in (s.approximations, s.last_corrections) if a is not None]
-    assert len(arrays) == 2 * len(report.history) - 1
+              for a in (s.approximations, s.multiplicities, s.last_corrections)
+              if a is not None]
+    assert len(arrays) == 3 * len(report.history) - 1
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
 
