@@ -14,6 +14,7 @@ numerical differentiation.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +26,35 @@ from .errors import (
 )
 
 SINGULARITY_RELATIVE_THRESHOLD = 1e-12
+_PLAIN_REALS = frozenset((int, float))
+
+
+def real_sequence(values):
+    """True when values is a 1-d sequence of real numbers: a numpy array
+    of integer or float dtype, or an iterable of ints, floats or other
+    numbers.Real, bools excluded.  Strings, complex numbers, None and
+    nested sequences are not."""
+    if isinstance(values, np.ndarray):
+        return values.ndim == 1 and values.dtype.kind in "iuf"
+    try:
+        kinds = set(map(type, values))
+    except TypeError:  # not iterable
+        return False
+    return kinds <= _PLAIN_REALS or all(
+        issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+        for kind in kinds)
 
 
 def positive_integers(multiplicities):
     """The multiplicities as a list of ints.  Raises InvalidConfiguration
-    unless each is a positive integer; integral floats such as 2.0 pass."""
-    values = np.asarray(multiplicities, dtype=float).tolist()
-    if not all(m >= 1 and m.is_integer() for m in values):
-        raise InvalidConfiguration(
-            "multiplicities must be positive integers, got %r"
-            % (multiplicities,))
-    return [int(m) for m in values]
+    unless they are a real_sequence of positive integers; integral floats
+    such as 2.0 and numpy integers pass, bools and strings do not."""
+    if real_sequence(multiplicities):
+        values = np.asarray(multiplicities, dtype=float).tolist()
+        if all(m >= 1 and m.is_integer() for m in values):
+            return [int(m) for m in values]
+    raise InvalidConfiguration(
+        "multiplicities must be positive integers, got %r" % (multiplicities,))
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,10 @@ class GeneralizedPolynomial:
     def row_sums(self, rows):
         """[(sum_j a_j r_j, sum_j |a_j r_j|) for each row r of rows]: with
         rows = basis.rows(x, top), f^(p)(x) and its term magnitude for
-        every order p.
-
-        One product over the nonzero coefficients for the whole stack,
-        then compensated sums per row.  A row whose sums leave the float
-        range gives None: a term that is not finite (the sum would be inf,
-        nan, or a ValueError for inf - inf), or an fsum that overflows.
-        checked_sums() turns that None into OverflowError where it is read.
+        every order p, from one product over the nonzero coefficients
+        (_term_sums): exactly rounded values, magnitudes as plain row sums.
+        None where a row's sums leave the float range; checked_sums()
+        turns it into OverflowError where it is read.
         """
         columns = np.flatnonzero(self.coefficients)
         return _term_sums(rows[:, columns], self.coefficients[columns])
@@ -56,23 +53,29 @@ class GeneralizedPolynomial:
     __call__ = eval
 
     def term_magnitude(self, x, p=0):
-        """Sum of |a_j phi_j^(p)(x)|, the roundoff scale of eval(x, p)."""
+        """Sum of |a_j phi_j^(p)(x)|, the roundoff scale of eval(x, p):
+        a plain row sum, within (k - 1) u of exact for k terms."""
         return checked_sums(self.row_sums(self.basis.rows(x, p)[p:])[0])[1]
 
 
-def _term_sums(rows, coefficients):
-    """row_sums of rows already cut to the columns of these coefficients."""
-    with np.errstate(over="ignore"):  # a product out of range gives None
-        return [_sums(terms) for terms in (rows * coefficients).tolist()]
-
-
-def _sums(terms):
-    try:
-        value, magnitude = math.fsum(terms), math.fsum(map(abs, terms))
-    except (OverflowError, ValueError):
-        return None
-    # |value| <= magnitude, which is finite exactly when every term is
-    return (value, magnitude) if math.isfinite(magnitude) else None
+def _term_sums(rows, weights):
+    """(value, scale) of every row of rows * weights, rows stacked on all
+    axes but the last: the value sum_j w_j r_j, whose terms cancel, as an
+    exactly rounded math.fsum; the scale sum_j |w_j r_j| as one numpy row
+    sum, within (k - 1) u of exact for k terms.  None where the scale is
+    not finite (a term is not, or the sum overflows) or the fsum
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are None
+        products = (rows * weights).reshape(-1, len(weights))
+        scales = np.abs(products).sum(axis=1).tolist()
+    sums = []
+    for terms, scale in zip(products.tolist(), scales):
+        try:
+            sums.append((math.fsum(terms), scale)
+                        if math.isfinite(scale) else None)
+        except OverflowError:
+            sums.append(None)
+    return sums
 
 
 def checked_sums(sums):

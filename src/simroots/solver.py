@@ -25,9 +25,11 @@ A solve checks its inputs and indexes what its sweeps read once (_plan).
 Every correction reads one snapshot, which only _snapshot builds: the
 collision check, one BasisSystem.tensor over every root, f^(p) and
 f^(p+1) at every root from one product with the nonzero coefficients,
-and either Q, its term scale and Q' at every root from one product of
-the probe rows with the null vector of B (_q_sums), or the ehrlich
-pairwise sums.  A correction is then scalar arithmetic and guards.
+and either Q and Q' at every root from one product of the probe rows
+with the null vector of B (_q_sums), or the ehrlich pairwise sums.  Both
+products go through genpoly._term_sums: each value an exactly rounded
+fsum, each term scale one plain row sum.  A correction is then scalar
+arithmetic and guards.
 
 So a sweep and the checks on its result are pure functions of the
 approximations, and solve replays the sweeps after an accepted state
@@ -44,7 +46,8 @@ from enum import Enum
 
 import numpy as np
 
-from .confluent import node_null_vector, node_rows, positive_integers
+from .confluent import (node_null_vector, node_rows, positive_integers,
+                        real_sequence)
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -64,6 +67,9 @@ COLLISION_THRESHOLD = 1e-12  # relative to 1 + max(|x_i|, |x_j|)
 # Residuals below this multiple of the rounding magnitude of the summed
 # coefficient-basis products carry no positional information; stepping on
 # them would inject corrections of pure noise, so the position is held.
+# The magnitude is a plain sum of k terms of one sign, within (k - 1) u of
+# the exact one: that moves the floor by a relative (k - 1) u, far inside
+# the order-of-magnitude choice of 64, so its last bits do not matter.
 NOISE_FLOOR_FACTOR = 64.0
 
 # A correction-converged state must also look like a root of the claimed
@@ -105,7 +111,10 @@ class SolverSettings:
 
 @dataclass
 class IterationState:
-    """Snapshot of all approximations after k iterations."""
+    """Snapshot of all approximations after k iterations.  Raises
+    InvalidConfiguration unless the approximations are a real_sequence and
+    the multiplicities positive integers, DimensionMismatch unless they
+    are as many."""
 
     approximations: np.ndarray
     multiplicities: np.ndarray
@@ -113,14 +122,18 @@ class IterationState:
     last_corrections: np.ndarray | None = None
 
     def __post_init__(self):
-        self.approximations = np.asarray(self.approximations, dtype=float)
+        if not real_sequence(self.approximations):
+            raise InvalidConfiguration(
+                "approximations must be a sequence of real numbers, got %r"
+                % (self.approximations,))
+        self.approximations = np.array(self.approximations, dtype=float)
+        self.multiplicities = np.array(
+            positive_integers(self.multiplicities), dtype=int)
         if len(self.approximations) != len(self.multiplicities):
             raise DimensionMismatch(
                 "%d approximations but %d multiplicities"
                 % (len(self.approximations), len(self.multiplicities))
             )
-        self.multiplicities = np.array(
-            positive_integers(self.multiplicities), dtype=int)
 
 
 @dataclass
@@ -170,24 +183,12 @@ def _pairwise_sums(xs, mult):
 
 
 def _q_sums(probes, c):
-    """(Q, scale, Q') of every root, up to the common factor kappa: with
-    probes[i] = (r_alpha, r_{alpha+1}) of root i, Q = r_alpha . c and
-    Q' = r_{alpha+1} . c as compensated sums, scale = sum_j |c_j r_j| over
-    the terms of Q, all from one product.  A sum that is not finite is
-    None; single_correction raises OverflowError where it reads one."""
-    with np.errstate(over="ignore", invalid="ignore"):  # such sums are None
-        terms = probes * c
-        scales = np.abs(terms[:, 0]).sum(axis=1).tolist()
-    return [(_finite_fsum(q), scale, _finite_fsum(qp))
-            for (q, qp), scale in zip(terms.tolist(), scales)]
-
-
-def _finite_fsum(terms):
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):
-        return None
-    return total if math.isfinite(total) else None
+    """(Q, Q') of every root, up to the common factor kappa: with probes[i]
+    = (r_alpha, r_{alpha+1}) of root i, the _term_sums of Q = r_alpha . c
+    and Q' = r_{alpha+1} . c from one product, each (value, scale) or
+    None; single_correction raises OverflowError where it reads a None."""
+    sums = _term_sums(probes, c)
+    return list(zip(sums[::2], sums[1::2]))
 
 
 def _guarded_quotient(numerator, term_a, term_b, label):
@@ -288,22 +289,23 @@ def single_correction(f, state, i, settings, snapshot=None):
         raise DegenerateDenominator(
             "node block singular value ratio %.3e is at most %g"
             % (rank_ratio, DENOMINATOR_FLOOR))
-    q, scale, qp = q_sums[i]
+    at_q, at_qp = q_sums[i]
     x = state.approximations[i]
-    if q is None:
+    if at_q is None:
         raise OverflowError("a term of Q_%d(%g) is not finite" % (i, x))
+    q, scale = at_q
     if scale == 0.0 or abs(q) <= DENOMINATOR_FLOOR * scale:
         raise DegenerateDenominator(
             "Q_%d(%g) = %.3e is negligible against its term scale %.3e"
             % (i, x, q, scale))
-    if qp is None:
+    if at_qp is None:
         raise OverflowError("a term of Q'_%d(%g) is not finite" % (i, x))
     if method == "method3":
         numerator, factor = alpha * fp, alpha + 1.0
     else:
         numerator, factor = fp, 2.0
     return _guarded_quotient(numerator, checked_sums(at_next)[0],
-                             fp * (qp / (factor * q)), method)
+                             fp * (at_qp[0] / (factor * q)), method)
 
 
 def _compute_corrections(f, state, settings, map_=map, plan=None):
@@ -410,7 +412,7 @@ def solve(f, initial, multiplicities, settings=None):
     neither computed nor validated again.
     """
     settings = settings or SolverSettings()
-    state = IterationState(np.array(initial, dtype=float), multiplicities)
+    state = IterationState(initial, multiplicities)
     mult = state.multiplicities
     plan = _plan(f, mult, settings)
     history = [state]

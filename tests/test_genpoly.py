@@ -1,5 +1,7 @@
 """Generalized polynomial evaluation and root-driven construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from simroots import (
     make_reference_basis,
     power,
 )
+from simroots.genpoly import _term_sums
 
 
 def _monomials(count):
@@ -62,6 +65,48 @@ def test_term_magnitude_bounds_eval():
     f = GeneralizedPolynomial(make_reference_basis(), (0.3, -1.1, 0.7, 0.2, -0.5))
     for x in (-0.8, 0.3, 1.7):
         assert abs(f.eval(x)) <= f.term_magnitude(x) * (1 + 1e-15)
+
+
+def _per_row_sums(terms):
+    """The per-row sums _term_sums replaced, kept as the reference: value
+    and magnitude both exactly rounded fsums."""
+    try:
+        value, magnitude = math.fsum(terms), math.fsum(map(abs, terms))
+    except (OverflowError, ValueError):
+        return None
+    return (value, magnitude) if math.isfinite(magnitude) else None
+
+
+def test_term_sums_take_exact_values_and_row_sum_scales():
+    rng = np.random.default_rng(14)
+    k = 9
+    rows = rng.standard_normal((40, k)) * 10.0 ** rng.integers(-30, 30, (40, 1))
+    weights = rng.standard_normal(k)
+    sums = _term_sums(rows, weights)
+    # a stack of (root, order) rows, as the probe rows are, sums the same
+    assert _term_sums(rows.reshape(20, 2, k), weights) == sums
+    for terms, got in zip(rows * weights, sums):
+        value, magnitude = _per_row_sums(terms.tolist())
+        assert got[0] == value == math.fsum(terms)
+        assert got[1] == np.abs(terms).sum()
+        # a plain sum of k terms of one sign is within (k - 1) u
+        assert abs(got[1] - magnitude) <= (k - 1) * 2.0 ** -53 * magnitude
+
+
+def test_term_sums_are_none_where_the_per_row_sums_are():
+    inf, nan = math.inf, math.nan
+    rows = [[1.0, 2.0, inf], [1.0, -inf, 2.0], [nan, 1.0, 2.0],
+            [inf, -inf, 1.0], [1e308, 1e308, -1e308],  # fsum raises
+            [1e308, -1e308, 1e308],  # the value fits, the scale does not
+            [1.5, -2.5, 0.25], [0.0, 0.0, 0.0]]
+    want = [_per_row_sums(row) for row in rows]
+    assert [w is None for w in want] == [True] * 6 + [False] * 2
+    assert _term_sums(np.array(rows), np.ones(3)) == want
+    # the scale overflows; so does a product
+    assert _term_sums(np.array([[1e308, 1e308]]), np.ones(2)) == [None] \
+        == [_per_row_sums([1e308, 1e308])]
+    assert _term_sums(np.array([[1e200, 1.0]]), np.array([1e200, 1.0])) \
+        == [None]
 
 
 def test_from_roots_monomial_double_pair():

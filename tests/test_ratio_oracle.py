@@ -75,7 +75,7 @@ def test_null_vector_ratio_against_the_oracle(name):
     null_error = pivoted_error = 0.0
     for i, (x, alpha) in enumerate(cfg.nodes):
         exact = _oracle_ratio(basis, cfg, i, x)
-        q, _, qp = q_sums[i]
+        (q, _), (qp, _) = q_sums[i]
         null_ratio = qp / q
         pivoted_ratio = q_derivative(basis, cfg, i, x) / q_value(basis, cfg, i, x)
         null_error = max(null_error, _relative_error(null_ratio, exact))

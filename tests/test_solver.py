@@ -38,7 +38,8 @@ from simroots import (
 from simroots import solver
 from simroots.basis import (BasisSystem, constant, cosine, exponential,
                             expression, power, sine)
-from simroots.confluent import _node_block, node_null_vector, node_rows
+from simroots.confluent import (_node_block, node_null_vector, node_rows,
+                                positive_integers)
 from simroots.solver import METHODS, _compute_corrections, _step
 
 from reference_loop import reference_solve, report_bytes
@@ -167,8 +168,9 @@ def test_vectorized_snapshot_checks_match_the_loops():
 @pytest.mark.parametrize("method", ["method3", "method13"])
 def test_q_sums_of_every_root_match_the_per_root_sums(reference_problem,
                                                       method):
-    # Q, its term scale and Q' of every root come from one product per
-    # snapshot; the per-root sums they replaced stay here as the reference
+    # Q and Q' of every root, each with its term scale, come from one
+    # product per snapshot; the per-root sums they replaced stay here as
+    # the reference
     _, reference = reference_problem
     cases = [(reference, IterationState(np.array(REFERENCE_INITIAL),
                                         np.array(REFERENCE_MULTIPLICITIES))),
@@ -183,8 +185,8 @@ def test_q_sums_of_every_root_match_the_per_root_sums(reference_problem,
         for i, (x, alpha) in enumerate(zip(state.approximations, mult)):
             probe = f.basis.rows(x, alpha + 1)
             q, qp = c * probe[alpha], c * probe[alpha + 1]
-            assert q_sums[i] == (math.fsum(q), float(np.sum(np.abs(q))),
-                                 math.fsum(qp))
+            assert q_sums[i] == ((math.fsum(q), float(np.sum(np.abs(q)))),
+                                 (math.fsum(qp), float(np.sum(np.abs(qp)))))
 
 
 def test_shortcut_matches_determinant_ratio():
@@ -633,15 +635,25 @@ def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch):
                             counting(name, getattr(BasisSystem, name)))
     monkeypatch.setattr(solver, "_check_collisions",
                         counting("collisions", solver._check_collisions))
-    # row_sums takes two sums per row, of f^(p) and f^(p+1): 4 per root.
-    # Q and Q' take one each, and ehrlich's pairwise sum one
+    # only signed values take an exact sum, term scales a numpy row sum:
+    # f^(p) and f^(p+1) take one each, Q and Q' one each, and ehrlich's
+    # pairwise sum one
     monkeypatch.setattr(math, "fsum", counting("fsum", math.fsum))
     m = len(state.approximations)
-    for method, fsums in (("method3", 6 * m), ("method13", 6 * m),
-                          ("ehrlich", 4 * m + m)):
+    for method, fsums in (("method3", 4 * m), ("method13", 4 * m),
+                          ("ehrlich", 2 * m + m)):
         calls.clear()
         _step(f, state, SolverSettings(method=method))
         assert calls == {"tensor": 1, "collisions": 1, "fsum": fsums}, method
+    # the residual check of a converged state: one fsum per residual row
+    for multiplicities in ((1,) * 14, (3, 3, 2, 2, 2)):
+        f, state = _monomial_snapshot(multiplicities)
+        report = solve(f, state.approximations, multiplicities)
+        assert report.status is SolveStatus.converged
+        calls.clear()
+        solver._residual_sums(f, report.history[-1].approximations,
+                              state.multiplicities)
+        assert calls == {"tensor": 1, "fsum": sum(multiplicities)}
 
 
 def test_only_the_root_that_escapes_loses_its_residuals():
@@ -705,6 +717,34 @@ def test_dimension_checks(reference_problem):
         solve(f, (0.1, 0.2), (1, 1))
     with pytest.raises(DimensionMismatch):
         IterationState(np.array([0.0, 1.0]), np.array([1]))
+    # starts no sweep can iterate: a scalar, None, a nested or 2-d array,
+    # strings, complex numbers, bools
+    for initial in (0.5, None, [[-0.4, 2.8]], np.array([[-0.4, 2.8]]),
+                    ["a", "b"], ["-0.4", "2.8"], [-0.4 + 0j, 2.8],
+                    np.array([-0.4, 2.8 + 1j]), [True, 2.8],
+                    np.array([True, False])):
+        with pytest.raises(InvalidConfiguration):
+            solve(f, initial, REFERENCE_MULTIPLICITIES)
+    with pytest.raises(InvalidConfiguration):
+        solve(f, 0.5, [4])
+    # ints, numpy numbers and integer arrays are real starts
+    for initial in ([0, 3], (np.float32(-0.4), np.int64(3)), np.array([0, 3])):
+        solve(f, initial, REFERENCE_MULTIPLICITIES)
+
+
+def test_multiplicities_are_positive_integers():
+    for multiplicities in ([True, 2, 3.0], ["2", 2], [2.5, 1.5], [0, 4],
+                           [2 + 0j, 2], np.array([True, True]), 2, None,
+                           [[2, 2]]):
+        with pytest.raises(InvalidConfiguration):
+            positive_integers(multiplicities)
+        with pytest.raises(InvalidConfiguration):
+            IterationState([-0.4, 2.8], multiplicities)
+    with pytest.raises(InvalidConfiguration):
+        RootConfiguration(((-0.5, True), (3.0, "2")))
+    assert positive_integers([2.0, np.int64(3), 1]) == [2, 3, 1]
+    assert positive_integers(np.array([2.0, 3.0])) == [2, 3]
+    assert type(positive_integers((np.int32(2),))[0]) is int
 
 
 def _raised_by_every_entry_point(f, state, settings, roots=None):
