@@ -15,6 +15,7 @@ numerical differentiation.
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,23 +27,19 @@ from .errors import (
 )
 
 SINGULARITY_RELATIVE_THRESHOLD = 1e-12
-_PLAIN_REALS = frozenset((int, float))
 
 
 def real_sequence(values):
     """True when values is a 1-d sequence of real numbers: a numpy array
-    of integer or float dtype, or an iterable of ints, floats or other
-    numbers.Real, bools excluded.  Strings, complex numbers, None and
-    nested sequences are not."""
+    of integer or float dtype, or a list, tuple or other Sequence of ints,
+    floats or other numbers.Real, bools excluded.  Strings, bytes, sets,
+    generators, complex numbers, None and nested sequences are not."""
     if isinstance(values, np.ndarray):
         return values.ndim == 1 and values.dtype.kind in "iuf"
-    try:
-        kinds = set(map(type, values))
-    except TypeError:  # not iterable
+    if not isinstance(values, Sequence) or isinstance(values, (bytes, bytearray)):
         return False
-    return kinds <= _PLAIN_REALS or all(
-        issubclass(kind, numbers.Real) and not issubclass(kind, bool)
-        for kind in kinds)
+    return all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+               for kind in set(map(type, values)))
 
 
 def positive_integers(multiplicities):

@@ -718,11 +718,13 @@ def test_dimension_checks(reference_problem):
     with pytest.raises(DimensionMismatch):
         IterationState(np.array([0.0, 1.0]), np.array([1]))
     # starts no sweep can iterate: a scalar, None, a nested or 2-d array,
-    # strings, complex numbers, bools
+    # strings, bytes, complex numbers, bools, and iterables that are no
+    # sequence (a generator, a set, a dict)
     for initial in (0.5, None, [[-0.4, 2.8]], np.array([[-0.4, 2.8]]),
-                    ["a", "b"], ["-0.4", "2.8"], [-0.4 + 0j, 2.8],
-                    np.array([-0.4, 2.8 + 1j]), [True, 2.8],
-                    np.array([True, False])):
+                    ["a", "b"], ["-0.4", "2.8"], b"\x01\x02",
+                    [-0.4 + 0j, 2.8], np.array([-0.4, 2.8 + 1j]), [True, 2.8],
+                    np.array([True, False]), (x for x in (-0.4, 2.8)),
+                    {-0.4, 2.8}, {-0.4: 2, 2.8: 2}):
         with pytest.raises(InvalidConfiguration):
             solve(f, initial, REFERENCE_MULTIPLICITIES)
     with pytest.raises(InvalidConfiguration):
@@ -735,7 +737,7 @@ def test_dimension_checks(reference_problem):
 def test_multiplicities_are_positive_integers():
     for multiplicities in ([True, 2, 3.0], ["2", 2], [2.5, 1.5], [0, 4],
                            [2 + 0j, 2], np.array([True, True]), 2, None,
-                           [[2, 2]]):
+                           [[2, 2]], b"\x02\x02", iter([2, 2]), {2.0, 3.0}):
         with pytest.raises(InvalidConfiguration):
             positive_integers(multiplicities)
         with pytest.raises(InvalidConfiguration):

@@ -1,18 +1,20 @@
 """Bit-for-bit comparison of two checkouts over the benchmark's seeded ops.
 
     python3 tools/fingerprints.py write OUT [--root DIR] [--seeds 1 2 3]
-                                            [--workloads NAME ...]
     python3 tools/fingerprints.py compare A B
 
 `write` runs every entry of each workload's seeded sequence once, in
 sequence order, with the `src/` and `bench/` of the checkout at DIR (by
 default the one holding this script), and writes one line per entry:
-workload, seed, entry index, slice name and a SHA-256 of bench/run.py's
-`fingerprint` of the op (status, iteration count and every iterate of a
-solve; exit code and output bytes of a CLI run; type and message of a
-raise).  The workloads are the benchmark's three declared ones and
-`expression_jets`.  `compare` lists the entries whose hashes differ or
-that only one file holds, and exits 1 if there are any.
+workload, seed, entry index, slice name and a SHA-256 of what the op
+produced: bench/run.py's `fingerprint` (status, iteration count and every
+iterate of a solve; exit code and output file bytes of a CLI run; type and
+message of a raise), plus the final residuals and each state's last
+corrections and multiplicities of a solve, and the standard output of a
+CLI run with its output directory written as OUT.  The workloads are the
+benchmark's three declared ones and `expression_jets`.  `compare` lists
+the entries whose hashes differ or that only one file holds, and exits 1
+if there are any.
 
 To check that a change keeps every iterate, write one file per checkout
 (for example the parent from `git archive`) and compare them:
@@ -34,7 +36,20 @@ WORKLOADS = ("reference_cli", "monomial_det", "monomial_ehrlich",
              "expression_jets")
 
 
-def write(out, root, seeds, names):
+def _extra(slice_, outcome, printed):
+    """What an op produced beyond bench/run.py's `fingerprint`."""
+    if isinstance(outcome, Exception):
+        return ()
+    if slice_.kind == "cli":
+        return (printed,)
+    return (repr(outcome.final_residuals),) + tuple(
+        (state.multiplicities.tobytes(),
+         None if state.last_corrections is None
+         else state.last_corrections.tobytes())
+        for state in outcome.history)
+
+
+def write(out, root, seeds):
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
     from run import fingerprint, run_op
@@ -42,14 +57,16 @@ def write(out, root, seeds, names):
     sink = io.StringIO()
     with tempfile.TemporaryDirectory() as scratch, open(out, "w") as lines:
         out_dir = Path(scratch) / "op"
-        for name in names:
+        for name in WORKLOADS:
             for seed in seeds:
                 workload = workloads.generate(
                     name, seed, Path(scratch) / ("%s-%d" % (name, seed)))
                 for index, (slice_, problem) in enumerate(workload.sequence):
                     outcome = run_op(slice_, problem, out_dir, sink)
-                    digest = hashlib.sha256(repr(fingerprint(
-                        slice_, problem, outcome, out_dir)).encode()).hexdigest()
+                    produced = (fingerprint(slice_, problem, outcome, out_dir),
+                                _extra(slice_, outcome, sink.getvalue().replace(
+                                    str(out_dir), "OUT")))
+                    digest = hashlib.sha256(repr(produced).encode()).hexdigest()
                     shutil.rmtree(out_dir, ignore_errors=True)
                     sink.seek(0)
                     sink.truncate()
@@ -78,14 +95,12 @@ def main(argv=None):
     write_.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent)
     write_.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    write_.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                        default=list(WORKLOADS))
     compare_ = commands.add_parser("compare", help="list differing entries")
     compare_.add_argument("a")
     compare_.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "write":
-        write(args.out, args.root.resolve(), args.seeds, args.workloads)
+        write(args.out, args.root.resolve(), args.seeds)
         return 0
     differ = compare(args.a, args.b)
     for key in differ:
