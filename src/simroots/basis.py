@@ -2,8 +2,12 @@
 
 A basis function is either one of a small closed-form catalog (constant,
 integer power, sine, cosine, exponential, and the inverse quadratic
-1/(1+x^2)) or an expression tree built from numbers, x, the operators
-+ - * / ^ (integer exponent), and the functions sin, cos, exp.
+1/(1+x^2)) or an expression.  parse_expression reads an expression with
+Python's ast into a tree of tuples.  Its grammar: decimal literals with
+an optional exponent, and x; + - * /, unary -, and ^ with an integer
+literal exponent; sin, cos and exp of one argument; parentheses and any
+whitespace; at most MAX_DEPTH = 200 levels of nesting, so that every
+tree evaluates within the default recursion limit.
 
 Catalog kinds differentiate through closed formulas.  Expression trees
 differentiate through truncated Taylor series (jets), so no numerical
@@ -18,9 +22,12 @@ from one member alone, through the same formula (perm(s, p) * x ** (s - p)
 for a power), so it checks only that member's cap and overflow.
 """
 
+import ast
 import functools
 import math
+import numbers
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,134 +154,72 @@ def _jet_pow(u, k, p):
 # Expression grammar
 # ----------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
-    r")"
-)
+# Python refuses parentheses nested deeper than this, and every tree up to
+# this depth evaluates well inside the default recursion limit.
+MAX_DEPTH = 200
 
-_FUNCTIONS = ("sin", "cos", "exp")
-
-
-def _tokenize(source):
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            if source[pos:].strip() == "":
-                break
-            raise ExpressionParseError(
-                "unexpected character %r at position %d" % (source[pos], pos)
-            )
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
-    return tokens
+_OPERATORS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
+# the decimal literals; Python's own also take 0x10, 1_0, 1j and True
+_LITERAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# what a source may hold once its whitespace is single spaces
+_ALPHABET = re.compile(r"[0-9A-Za-z_. +\-*/^()]*")
 
 
-class _Parser:
-    """Recursive-descent parser for the minimal infix grammar."""
-
-    def __init__(self, source):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, symbol):
-        kind, value = self.advance()
-        if kind != "op" or value != symbol:
-            raise ExpressionParseError(
-                "expected %r in %r, got %r" % (symbol, self.source, value)
-            )
-
-    def parse(self):
-        tree = self.expr()
-        kind, value = self.peek()
-        if kind != "end":
-            raise ExpressionParseError(
-                "trailing input %r in %r" % (value, self.source)
-            )
-        return tree
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.advance()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.advance()
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.advance()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.advance()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.advance()
-                sign = -1
-            kind, value = self.advance()
-            if kind != "num" or not float(value).is_integer():
-                raise ExpressionParseError(
-                    "exponent must be an integer in %r" % (self.source,)
-                )
-            node = ("pow", node, sign * int(value))
-        return node
-
-    def atom(self):
-        kind, value = self.advance()
-        if kind == "num":
-            return ("num", value)
-        if kind == "name":
-            if value == "x":
-                return ("x",)
-            if value in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return (value, arg)
-            raise ExpressionParseError(
-                "unknown name %r in %r" % (value, self.source)
-            )
-        if (kind, value) == ("op", "("):
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionParseError("unexpected token %r in %r" % (value, self.source))
+def _walk(node, text, depth):
+    """The tuple tree of an ast node at the given nesting depth."""
+    if depth > MAX_DEPTH:
+        raise ExpressionParseError("nested deeper than %d levels" % MAX_DEPTH)
+    # text is one line of ASCII, so column offsets index its characters
+    segment = text[node.col_offset:node.end_col_offset]
+    match node:
+        case (ast.BinOp(left, ast.Pow(), ast.Constant() as power)
+              | ast.BinOp(left, ast.Pow(),
+                          ast.UnaryOp(ast.USub(), ast.Constant() as power))
+              ) if (value := _walk(power, text, depth + 1)[1]).is_integer():
+            sign = 1 if power is node.right else -1
+            return ("pow", _walk(left, text, depth + 1), sign * int(value))
+        case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
+            return (_OPERATORS[type(op)], _walk(left, text, depth + 1),
+                    _walk(right, text, depth + 1))
+        case ast.UnaryOp(ast.USub(), operand):
+            return ("neg", _walk(operand, text, depth + 1))
+        case ast.Name("x"):
+            return ("x",)
+        case ast.Call(ast.Name("sin" | "cos" | "exp" as name), [arg], []):
+            return (name, _walk(arg, text, depth + 1))
+        case ast.Constant() if _LITERAL.fullmatch(segment):
+            return ("num", float(segment))
+    raise ExpressionParseError("unexpected %r in an expression" % segment)
 
 
 def parse_expression(source):
-    """Parse an infix expression string into a tree of nested tuples."""
-    return _Parser(source).parse()
+    """Parse an infix expression string into a tree of nested tuples.
+
+    The grammar: decimal literals with an optional exponent, and x;
+    + - * /, unary -, and ^ with an integer literal exponent, optionally
+    negated; sin, cos and exp of one argument; parentheses and any
+    whitespace; at most MAX_DEPTH levels of nesting.  -x^2 is
+    ("neg", ("pow", ("x",), 2)).  Anything else raises ExpressionParseError.
+    Python's ast parses the text once its digits are ASCII, its integers
+    floats (ast refuses 007), and each ^ before a literal **; any other ^
+    stays a xor, which the walk refuses.
+    """
+    if not isinstance(source, str):
+        raise ExpressionParseError("expected a string, got %r" % (source,))
+    text = re.sub(r"\d", lambda m: str(int(m[0])), " ".join(source.split()))
+    text = re.sub(r"(?<![\w.])(?<![eE][+-])(\d+)(?![\w.])", r"\1.", text)
+    if "**" in text or not _ALPHABET.fullmatch(text):
+        raise ExpressionParseError("unexpected character in %r" % (source,))
+    text = re.sub(r"\^(?=\s*-?\s*[\d.])", "**", text)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ast warns of 1if x, refused
+            tree = ast.parse(text, mode="eval").body
+    # CPython reports too deep a source as MemoryError or RecursionError
+    except (SyntaxError, MemoryError, RecursionError) as exc:
+        raise ExpressionParseError("cannot parse %r: %s" % (
+            source, str(exc) or type(exc).__name__)) from None
+    return _walk(tree, text, 0)
 
 
 def _propagate(node, x, p):
@@ -369,8 +314,13 @@ def constant():
 
 
 def power(s):
-    if s < 0:
-        raise InvalidConfiguration("power exponent must be nonnegative, got %r" % (s,))
+    """x^s.  Raises InvalidConfiguration unless s is a nonnegative integer:
+    integral floats such as 2.0 and numpy integers pass, bools and strings
+    do not."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Real) or not (
+            0 <= s < math.inf and s % 1 == 0):
+        raise InvalidConfiguration(
+            "power exponent must be a nonnegative integer, got %r" % (s,))
     return BasisFunction("power", s=int(s))
 
 

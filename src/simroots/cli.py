@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,17 +42,19 @@ DEFAULT_SETTINGS = {"tolerance": SolverSettings.tolerance,
                     "max_iterations": SolverSettings.max_iterations}
 
 
+@dataclass
 class Problem:
-    def __init__(self, system, f, initial, multiplicities, methods,
-                 settings, true_roots, normalized):
-        self.system = system
-        self.f = f
-        self.initial = initial
-        self.multiplicities = multiplicities
-        self.methods = methods
-        self.settings = settings
-        self.true_roots = true_roots
-        self.normalized = normalized
+    """A checked problem file: settings is the SolverSettings every method
+    runs with, and normalized the canonical JSON document."""
+
+    system: basis_mod.BasisSystem
+    f: GeneralizedPolynomial
+    initial: list
+    multiplicities: list
+    methods: list
+    settings: SolverSettings
+    true_roots: RootConfiguration | None
+    normalized: dict
 
 
 def _fail(field, message):
@@ -221,7 +224,6 @@ def load_problem(path):
         checked = SolverSettings(**settings)
     except InvalidConfiguration as exc:
         _fail("settings", str(exc))
-    settings = {key: getattr(checked, key) for key in settings}
 
     normalized = {
         "basis": normalized_basis,
@@ -230,10 +232,10 @@ def load_problem(path):
         "initial": initial,
         "multiplicities": list(multiplicities),
         "methods": list(methods),
-        "settings": settings,
+        "settings": {key: getattr(checked, key) for key in settings},
     }
     return Problem(system, f, initial, multiplicities, list(methods),
-                   settings, true_roots, normalized)
+                   checked, true_roots, normalized)
 
 
 def _fmt(value):
@@ -283,11 +285,7 @@ def _summary_block(method, report, true_roots):
 def _solve_all(problem):
     reports = {}
     for method in problem.methods:
-        settings = SolverSettings(
-            method=method,
-            tolerance=problem.settings["tolerance"],
-            max_iterations=problem.settings["max_iterations"],
-        )
+        settings = replace(problem.settings, method=method)
         reports[method] = solve(problem.f, problem.initial,
                                 problem.multiplicities, settings)
     return reports

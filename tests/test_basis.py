@@ -13,6 +13,7 @@ from simroots import (
     DivisionBySingularJet,
     DomainError,
     ExpressionParseError,
+    InvalidConfiguration,
     Jet,
     OrderExceedsCap,
     constant,
@@ -313,6 +314,33 @@ def test_tensor_raises_in_the_order_of_the_per_point_loop():
     "(x+1",
     "x $ 2",
     "",
+    # Python's syntax that the grammar leaves out
+    "x**2",
+    "x#c",
+    "x^(2)",
+    "x^2^3",
+    "+x",
+    "x^+2",
+    "0x10",
+    "1_0",
+    "1j",
+    "True",
+    "sin(x, 1)",
+    "sin(x=1)",
+    "x.real",
+    "x[0]",
+    "x<1",
+    "x;1",
+    None,
+    pytest.param(("x",), id="a tuple"),
+    # one level beyond MAX_DEPTH, and far beyond it
+    pytest.param("(" * 201 + "x" + ")" * 201, id="201 parentheses"),
+    pytest.param("sin(" * 201 + "x" + ")" * 201, id="201 sines"),
+    pytest.param("-" * 200 + "x*x", id="201 deep unary chain"),
+    pytest.param("x*x" + "+0*x" * 200, id="201 deep sum"),
+    pytest.param("(" * 300 + "x" + ")" * 300, id="300 parentheses"),
+    pytest.param("x*x" + "+0*x" * 3000, id="3001 deep sum"),
+    pytest.param("-" * 10000 + "x", id="10000 deep unary chain"),
 ])
 def test_parser_rejects_malformed_input(bad):
     with pytest.raises(ExpressionParseError):
@@ -320,9 +348,28 @@ def test_parser_rejects_malformed_input(bad):
 
 
 def test_parser_tree_shape():
-    assert parse_expression("x") == ("x",)
-    assert parse_expression("1+2*x") == ("add", ("num", 1.0),
-                                         ("mul", ("num", 2.0), ("x",)))
+    x = ("x",)
+    for source, tree in [
+            ("x", x),
+            ("1+2*x", ("add", ("num", 1.0), ("mul", ("num", 2.0), x))),
+            ("x\n+1", ("add", x, ("num", 1.0))),
+            ("x^-2", ("pow", x, -2)),
+            ("x ^ - 2", ("pow", x, -2)),
+            ("x^2.0", ("pow", x, 2)),
+            ("-x^2", ("neg", ("pow", x, 2))),
+            ("(x^2)^3", ("pow", ("pow", x, 2), 3)),
+            ("2*-3", ("mul", ("num", 2.0), ("neg", ("num", 3.0)))),
+            ("sin (x)/007", ("div", ("sin", x), ("num", 7.0))),
+            ("x^02-1e+1", ("sub", ("pow", x, 2), ("num", 10.0))),
+            ("\u0663*x", ("mul", ("num", 3.0), x))]:
+        assert parse_expression(source) == tree
+
+
+@pytest.mark.parametrize("s", [2.5, True, "2", -1, math.inf, math.nan, None])
+def test_power_exponent_is_a_nonnegative_integer(s):
+    with pytest.raises(InvalidConfiguration):
+        power(s)
+    assert power(2.0).s == power(np.int64(2)).s == 2
 
 
 def test_expression_cap_enforced():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import simroots
+from simroots import SolverSettings
 from simroots.cli import load_problem, main
 
 REFERENCE_PROBLEM = {
@@ -263,6 +264,14 @@ def test_rejection_messages_name_the_field(tmp_path, capsys):
             polynomial={"roots": [{"x": 1e308, "multiplicity": 1},
                                   {"x": 0.3, "multiplicity": 1}]},
             initial=[1e308, 0.35], multiplicities=[1, 1])),
+        # too deep to evaluate within the recursion limit
+        ("basis", dict(
+            REFERENCE_PROBLEM,
+            basis=[{"kind": "constant"}, {"kind": "power", "s": 1},
+                   {"kind": "expr", "tree": "x*x" + "+0*x" * 3000}],
+            polynomial={"roots": [{"x": 1, "multiplicity": 1},
+                                  {"x": 2, "multiplicity": 1}]},
+            initial=[0.9, 2.1], multiplicities=[1, 1])),
     ]
     for field, doc in cases:
         problem = _write_problem(tmp_path, doc)
@@ -289,6 +298,8 @@ def test_load_problem_returns_the_parsed_pieces(tmp_path):
     assert problem.methods == ["method3", "method13"]
     assert problem.true_roots.nodes == ((-0.5, 2), (3.0, 2))
     assert len(problem.system) == 5
+    assert problem.settings == SolverSettings(tolerance=1e-11,
+                                              max_iterations=50)
 
 
 def test_module_entry_point(tmp_path):

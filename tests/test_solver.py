@@ -302,6 +302,21 @@ def test_overflow_lands_in_domain_escape():
             assert report.final_residuals[0] == float("inf")
 
 
+@pytest.mark.parametrize("member", [
+    pytest.param("x*x" + "+0*x" * 199, id="sum"),
+    pytest.param("-" * 199 + "x*x", id="unary chain"),
+    pytest.param("sin(" * 200 + "x" + ")" * 200, id="nested sine"),
+])
+def test_expressions_at_the_depth_bound_solve(member):
+    # each tree is MAX_DEPTH = 200 levels deep, one more is refused
+    system = BasisSystem((constant(), power(1), expression(member)))
+    f = from_roots(system, RootConfiguration(((1.0, 1), (2.0, 1))))
+    for method in ("method3", "method13"):
+        report = solve(f, (0.9, 2.1), (1, 1), SolverSettings(method=method))
+        assert report.status is SolveStatus.converged
+        assert np.allclose(report.history[-1].approximations, (1.0, 2.0))
+
+
 def test_infinite_q_terms_land_in_domain_escape():
     # exp(800 x) is finite at the root near 0.886 and exp(801 x) nearly
     # so, but their first derivatives are inf; the terms of Q there are

@@ -13,8 +13,9 @@ message of a raise), plus the final residuals and each state's last
 corrections and multiplicities of a solve, and the standard output of a
 CLI run with its output directory written as OUT.  The workloads are the
 benchmark's three declared ones and `expression_jets`.  `compare` lists
-the entries whose hashes differ or that only one file holds, and exits 1
-if there are any.
+the entries whose hashes differ or that only one file holds, prints how
+many of all the entries these are, and exits 1 if there are any or if
+either file holds no entries (say, after an interrupted `write`).
 
 To check that a change keeps every iterate, write one file per checkout
 (for example the parent from `git archive`) and compare them:
@@ -81,10 +82,12 @@ def _read(path):
 
 
 def compare(a, b):
-    """The entries of a and b whose hashes differ or that one lacks."""
+    """The entries of a and b whose hashes differ or that one lacks, the
+    number of entries the two hold together, and whether both hold any."""
     first, second = _read(a), _read(b)
-    return sorted(key for key in first.keys() | second.keys()
-                  if first.get(key) != second.get(key))
+    keys = first.keys() | second.keys()
+    return (sorted(key for key in keys if first.get(key) != second.get(key)),
+            len(keys), bool(first and second))
 
 
 def main(argv=None):
@@ -102,11 +105,13 @@ def main(argv=None):
     if args.command == "write":
         write(args.out, args.root.resolve(), args.seeds)
         return 0
-    differ = compare(args.a, args.b)
+    differ, total, nonempty = compare(args.a, args.b)
     for key in differ:
         print(" ".join(key))
-    print("%d entries differ" % len(differ))
-    return 1 if differ else 0
+    print("%d of %d entries differ" % (len(differ), total))
+    if not nonempty:
+        print("a file holds no entries")
+    return 1 if differ or not nonempty else 0
 
 
 if __name__ == "__main__":
