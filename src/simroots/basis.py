@@ -10,7 +10,9 @@ whitespace; at most MAX_DEPTH = 200 levels of nesting, so that every
 tree evaluates within the default recursion limit.
 
 Catalog kinds differentiate through closed formulas.  Expression trees
-differentiate through truncated Taylor series (jets), so no numerical
+differentiate through truncated Taylor series (jets): a jet is a plain
+list of coefficients c_0 .. c_p at a point, and jet_propagate walks the
+tree once and returns the derivatives c_q * q!, so no numerical
 differencing is involved anywhere in the evaluation path.
 
 BasisSystem.tensor gives every member's derivatives of orders 0 .. top at
@@ -47,106 +49,63 @@ UNBOUNDED = (-math.inf, math.inf)
 # what callers may request before factorial growth overflows doubles.
 CATALOG_CAP = 100
 EXPRESSION_CAP = 8
+# Beyond this, x^s leaves the float range for every |x| >= 2, and the
+# power table tensor builds per point would grow with s.
+MAX_EXPONENT = 1024
+_KINDS = ("constant", "power", "sine", "cosine", "exponential",
+          "inverse-quadratic", "expression")
 
 
 # ----------------------------------------------------------------------
-# Taylor jets
+# Taylor jets: lists of coefficients c_0 .. c_p, c_q = f^(q)(x) / q!
 # ----------------------------------------------------------------------
 
-class Jet:
-    """Truncated Taylor series of a function at a point.
-
-    Parameters
-    ----------
-    coefficients : sequence of float
-        Taylor coefficients c_0 .. c_p, so the derivative of order q
-        equals coefficients[q] * q!.
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        self.coefficients = list(coefficients)
-
-    def derivative(self, q):
-        """Return the derivative of order q encoded by this jet."""
-        return self.coefficients[q] * math.factorial(q)
-
-    @classmethod
-    def constant(cls, value, p):
-        return cls([float(value)] + [0.0] * p)
-
-    @classmethod
-    def variable(cls, x, p):
-        c = [float(x)] + [0.0] * p
-        if p >= 1:
-            c[1] = 1.0
-        return cls(c)
-
-    def __neg__(self):
-        return Jet([-c for c in self.coefficients])
-
-    def __add__(self, other):
-        return Jet([a + b for a, b in zip(self.coefficients, other.coefficients)])
-
-    def __sub__(self, other):
-        return Jet([a - b for a, b in zip(self.coefficients, other.coefficients)])
-
-    def __mul__(self, other):
-        a, b = self.coefficients, other.coefficients
-        out = []
-        for k in range(len(a)):
-            out.append(math.fsum(a[j] * b[k - j] for j in range(k + 1)))
-        return Jet(out)
-
-    def __truediv__(self, other):
-        a, b = self.coefficients, other.coefficients
-        if abs(b[0]) < 1e-300:
-            raise DivisionBySingularJet(
-                "series division needs a nonzero constant term"
-            )
-        out = [a[0] / b[0]]
-        for k in range(1, len(a)):
-            acc = a[k] - math.fsum(b[j] * out[k - j] for j in range(1, k + 1))
-            out.append(acc / b[0])
-        return Jet(out)
-
-    def __repr__(self):
-        return "Jet(%r)" % (self.coefficients,)
+def _mul(a, b):
+    return [math.fsum(a[j] * b[k - j] for j in range(k + 1))
+            for k in range(len(a))]
 
 
-def _jet_sin_cos(u):
+def _div(a, b):
+    if abs(b[0]) < 1e-300:
+        raise DivisionBySingularJet("series division needs a nonzero "
+                                    "constant term")
+    out = [a[0] / b[0]]
+    for k in range(1, len(a)):
+        acc = a[k] - math.fsum(b[j] * out[k - j] for j in range(1, k + 1))
+        out.append(acc / b[0])
+    return out
+
+
+def _sin_cos(u):
     # joint recurrence: k*s_k = sum j*u_j*c_{k-j}, k*c_k = -sum j*u_j*s_{k-j}
-    uc = u.coefficients
-    p = len(uc) - 1
-    s = [math.sin(uc[0])] + [0.0] * p
-    c = [math.cos(uc[0])] + [0.0] * p
+    p = len(u) - 1
+    s = [math.sin(u[0])] + [0.0] * p
+    c = [math.cos(u[0])] + [0.0] * p
     for k in range(1, p + 1):
-        s[k] = math.fsum(j * uc[j] * c[k - j] for j in range(1, k + 1)) / k
-        c[k] = -math.fsum(j * uc[j] * s[k - j] for j in range(1, k + 1)) / k
-    return Jet(s), Jet(c)
+        s[k] = math.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k
+        c[k] = -math.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k
+    return s, c
 
 
-def _jet_exp(u):
-    uc = u.coefficients
-    p = len(uc) - 1
-    e = [math.exp(uc[0])] + [0.0] * p
+def _exp(u):
+    p = len(u) - 1
+    e = [math.exp(u[0])] + [0.0] * p
     for k in range(1, p + 1):
-        e[k] = math.fsum(j * uc[j] * e[k - j] for j in range(1, k + 1)) / k
-    return Jet(e)
+        e[k] = math.fsum(j * u[j] * e[k - j] for j in range(1, k + 1)) / k
+    return e
 
 
-def _jet_pow(u, k, p):
+def _pow(u, k):
+    """u^k by binary powering.  Its last squaring is unused, but it stays:
+    where it overflows, fsum raises, and jet_propagate reports that."""
+    out = [1.0] + [0.0] * (len(u) - 1)
     if k < 0:
-        return Jet.constant(1.0, p) / _jet_pow(u, -k, p)
-    out = Jet.constant(1.0, p)
-    base = u
-    e = k
-    while e > 0:
-        if e & 1:
-            out = out * base
-        base = base * base
-        e >>= 1
+        return _div(out, _pow(u, -k))
+    while k > 0:
+        if k & 1:
+            out = _mul(out, u)
+        u = _mul(u, u)
+        k >>= 1
     return out
 
 
@@ -223,57 +182,48 @@ def parse_expression(source):
 
 
 def _propagate(node, x, p):
-    kind = node[0]
-    if kind == "num":
-        return Jet.constant(node[1], p)
-    if kind == "x":
-        return Jet.variable(x, p)
-    if kind == "neg":
-        return -_propagate(node[1], x, p)
-    if kind == "add":
-        return _propagate(node[1], x, p) + _propagate(node[2], x, p)
-    if kind == "sub":
-        return _propagate(node[1], x, p) - _propagate(node[2], x, p)
-    if kind == "mul":
-        return _propagate(node[1], x, p) * _propagate(node[2], x, p)
-    if kind == "div":
-        return _propagate(node[1], x, p) / _propagate(node[2], x, p)
-    if kind == "pow":
-        return _jet_pow(_propagate(node[1], x, p), node[2], p)
-    if kind == "sin":
-        return _jet_sin_cos(_propagate(node[1], x, p))[0]
-    if kind == "cos":
-        return _jet_sin_cos(_propagate(node[1], x, p))[1]
-    if kind == "exp":
-        return _jet_exp(_propagate(node[1], x, p))
-    raise ExpressionParseError("unknown node kind %r" % (kind,))
+    """The jet of order p at x of an expression tree."""
+    match node:
+        case ("num", value):
+            return [float(value)] + [0.0] * p
+        case ("x",):
+            return [x] + [1.0] * min(p, 1) + [0.0] * (p - 1)
+        case ("neg", u):
+            return [-c for c in _propagate(u, x, p)]
+        case ("add", u, v):
+            return [a + b for a, b in zip(_propagate(u, x, p),
+                                          _propagate(v, x, p))]
+        case ("sub", u, v):
+            return [a - b for a, b in zip(_propagate(u, x, p),
+                                          _propagate(v, x, p))]
+        case ("mul", u, v):
+            return _mul(_propagate(u, x, p), _propagate(v, x, p))
+        case ("div", u, v):
+            return _div(_propagate(u, x, p), _propagate(v, x, p))
+        case ("pow", u, k):
+            return _pow(_propagate(u, x, p), k)
+        case ("sin", u):
+            return _sin_cos(_propagate(u, x, p))[0]
+        case ("cos", u):
+            return _sin_cos(_propagate(u, x, p))[1]
+        case ("exp", u):
+            return _exp(_propagate(u, x, p))
+    raise ExpressionParseError("unknown node kind %r" % (node[0],))
 
 
 def jet_propagate(tree, x, p):
-    """Propagate a Taylor jet of the given order through an expression.
-
-    Parameters
-    ----------
-    tree : str or tuple
-        Expression source text, or an already parsed tree.
-    x : float
-        Expansion point.
-    p : int
-        Truncation order; the result carries coefficients c_0 .. c_p.
-
-    Returns
-    -------
-    Jet
-
-    Raises OverflowError for math's ValueError at an overflowed value:
-    sin or cos of inf, or inf - inf in a compensated sum.
+    """The derivatives of orders 0 .. p (p >= 0) at x of an expression,
+    given as source text or a parsed tree: c_q * q! from its Taylor
+    coefficients c_q.  Raises OverflowError for math's ValueError at an
+    overflowed value: sin or cos of inf, or inf - inf in a compensated sum.
     """
     if isinstance(tree, str):
         tree = parse_expression(tree)
     try:
-        return _propagate(tree, float(x), int(p))
+        jet = _propagate(tree, float(x), int(p))
     except ValueError as exc:
         raise OverflowError("jet at x=%r: %s" % (x, exc)) from None
+    return [c * math.factorial(q) for q, c in enumerate(jet)]
 
 
 # ----------------------------------------------------------------------
@@ -314,13 +264,14 @@ def constant():
 
 
 def power(s):
-    """x^s.  Raises InvalidConfiguration unless s is a nonnegative integer:
-    integral floats such as 2.0 and numpy integers pass, bools and strings
-    do not."""
+    """x^s.  Raises InvalidConfiguration unless s is an integer from 0 to
+    MAX_EXPONENT: integral floats such as 2.0 and numpy integers pass,
+    bools and strings do not."""
     if isinstance(s, bool) or not isinstance(s, numbers.Real) or not (
-            0 <= s < math.inf and s % 1 == 0):
+            0 <= s <= MAX_EXPONENT and s % 1 == 0):
         raise InvalidConfiguration(
-            "power exponent must be a nonnegative integer, got %r" % (s,))
+            "power exponent must be an integer from 0 to %d, got %r"
+            % (MAX_EXPONENT, s))
     return BasisFunction("power", s=int(s))
 
 
@@ -351,7 +302,7 @@ def _column(b, x, top):
     power nor the constant: closed forms for catalog kinds, one jet of
     order top for expressions.  A truncated jet is prefix-stable
     (coefficient k depends only on orders <= k), so entry p equals the top
-    coefficient of the jet of order p.
+    derivative jet_propagate gives at order p.
     """
     orders = range(top + 1)
     if b.kind in ("sine", "cosine"):
@@ -371,10 +322,7 @@ def _column(b, x, top):
         theta = math.atan2(-1.0, x)
         return [(-1.0) ** (p + 1) * math.factorial(p) * math.sin((p + 1) * theta)
                 / r ** (p + 1) for p in orders]
-    if b.kind == "expression":
-        jet = jet_propagate(b.tree, x, top)
-        return [jet.derivative(p) for p in orders]
-    raise ExpressionParseError("unknown basis kind %r" % (b.kind,))
+    return jet_propagate(b.tree, x, top)
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +385,9 @@ class BasisSystem:
         lo, hi = self.domain
         if not lo < hi:
             raise DomainError("empty domain (%g, %g)" % (lo, hi))
+        for b in self.functions:
+            if b.kind not in _KINDS:
+                raise InvalidConfiguration("unknown basis kind %r" % (b.kind,))
         exponents = tuple(b.s if b.kind == "power" else 0 if b.kind == "constant"
                           else None for b in self.functions)
         table_size = max((s for s in exponents if s is not None), default=0) + 1

@@ -91,10 +91,11 @@ def _parse_basis_entry(entry, index, cap):
     if kind == "constant":
         return basis_mod.constant(), {"kind": "constant"}
     if kind == "power":
-        if "s" not in entry or isinstance(entry["s"], bool) \
-                or not isinstance(entry["s"], int) or entry["s"] < 0:
-            _fail("basis", "entry %d: power needs a nonnegative integer 's'" % index)
-        return basis_mod.power(entry["s"]), {"kind": "power", "s": entry["s"]}
+        try:
+            member = basis_mod.power(entry.get("s"))
+        except SimrootsError as exc:
+            _fail("basis", "entry %d: %s" % (index, exc))
+        return member, {"kind": "power", "s": member.s}
     if kind == "sine":
         omega = _require_number("basis", entry.get("omega"))
         return basis_mod.sine(omega), {"kind": "sine", "omega": omega}

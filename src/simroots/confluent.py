@@ -44,14 +44,14 @@ def real_sequence(values):
 
 def positive_integers(multiplicities):
     """The multiplicities as a list of ints.  Raises InvalidConfiguration
-    unless they are a real_sequence of positive integers; integral floats
-    such as 2.0 and numpy integers pass, bools and strings do not."""
-    if real_sequence(multiplicities):
-        values = np.asarray(multiplicities, dtype=float).tolist()
-        if all(m >= 1 and m.is_integer() for m in values):
-            return [int(m) for m in values]
-    raise InvalidConfiguration(
-        "multiplicities must be positive integers, got %r" % (multiplicities,))
+    unless they are a real_sequence of positive integers below 2^53, each
+    exact as a float; integral floats such as 2.0 and numpy integers pass,
+    bools and strings do not."""
+    if real_sequence(multiplicities) and all(
+            1 <= m < 2 ** 53 and m % 1 == 0 for m in multiplicities):
+        return [int(m) for m in multiplicities]
+    raise InvalidConfiguration("multiplicities must be positive integers "
+                               "below 2^53, got %r" % (multiplicities,))
 
 
 @dataclass(frozen=True)

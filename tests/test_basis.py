@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from simroots import (
+    BasisFunction,
     BasisSystem,
     DimensionMismatch,
     DivisionBySingularJet,
     DomainError,
     ExpressionParseError,
     InvalidConfiguration,
-    Jet,
     OrderExceedsCap,
     constant,
     cosine,
@@ -27,7 +27,7 @@ from simroots import (
     power,
     sine,
 )
-from simroots.basis import _column, _gather
+from simroots.basis import MAX_EXPONENT, _column, _gather
 
 GENERIC_POINTS = (-1.3, -0.4, 0.7, 1.9)
 
@@ -96,31 +96,30 @@ def test_jet_matches_catalog_closed_forms():
 
 
 def test_jet_square_coefficients():
-    jet = jet_propagate("x*x", 3.0, 2)
-    assert jet.coefficients == pytest.approx([9.0, 6.0, 1.0])
-    assert jet.derivative(2) == pytest.approx(2.0)
+    # coefficients 9, 6, 1 of (3 + t)^2, as derivatives c_q * q!
+    assert jet_propagate("x*x", 3.0, 2) == [9.0, 6.0, 2.0]
 
 
 def test_jet_sin_derivatives_at_zero():
-    jet = jet_propagate("sin(3*x)", 0.0, 3)
-    derivs = [jet.derivative(q) for q in range(4)]
+    derivs = jet_propagate("sin(3*x)", 0.0, 3)
     assert derivs == pytest.approx([0.0, 3.0, 0.0, -27.0], abs=1e-12)
 
 
 def test_jet_derivative_scaling_invariant():
-    jet = Jet([2.0, -1.0, 0.25, 7.0])
-    for q in range(4):
-        assert jet.derivative(q) == jet.coefficients[q] * math.factorial(q)
+    # at 0 a polynomial's Taylor coefficients are its own, exactly
+    coefficients = [2.0, -1.0, 0.25, 7.0]
+    derivs = jet_propagate("2 - x + 0.25*x^2 + 7*x^3", 0.0, 3)
+    assert derivs == [c * math.factorial(q) for q, c in enumerate(coefficients)]
 
 
 def test_jet_negative_power():
-    jet = jet_propagate("x^-2", 2.0, 1)
-    assert jet.coefficients[0] == pytest.approx(0.25, rel=1e-14)
-    assert jet.derivative(1) == pytest.approx(-0.25, rel=1e-13)
+    derivs = jet_propagate("x^-2", 2.0, 1)
+    assert derivs[0] == pytest.approx(0.25, rel=1e-14)
+    assert derivs[1] == pytest.approx(-0.25, rel=1e-13)
 
 
 def test_unary_minus_binds_looser_than_power():
-    assert jet_propagate("-x^2", 3.0, 0).coefficients[0] == pytest.approx(-9.0)
+    assert jet_propagate("-x^2", 3.0, 0) == [-9.0]
 
 
 def test_division_by_singular_jet():
@@ -365,11 +364,14 @@ def test_parser_tree_shape():
         assert parse_expression(source) == tree
 
 
-@pytest.mark.parametrize("s", [2.5, True, "2", -1, math.inf, math.nan, None])
+# a power table of 10^30 entries per point is never built
+@pytest.mark.parametrize("s", [2.5, True, "2", -1, math.inf, math.nan, None,
+                               10 ** 30, MAX_EXPONENT + 1])
 def test_power_exponent_is_a_nonnegative_integer(s):
     with pytest.raises(InvalidConfiguration):
         power(s)
     assert power(2.0).s == power(np.int64(2)).s == 2
+    assert power(MAX_EXPONENT).s == MAX_EXPONENT
 
 
 def test_expression_cap_enforced():
@@ -391,6 +393,12 @@ def test_system_domain_checked_on_eval():
 def test_system_needs_two_functions():
     with pytest.raises(DimensionMismatch):
         BasisSystem((constant(),))
+
+
+def test_system_rejects_unknown_kinds():
+    # before any evaluation, so that solve never sees the member
+    with pytest.raises(InvalidConfiguration, match="unknown basis kind 'cubic'"):
+        BasisSystem((constant(), power(1), BasisFunction("cubic")))
 
 
 def test_system_rejects_empty_domain():

@@ -10,6 +10,7 @@ import pytest
 
 import simroots
 from simroots import SolverSettings
+from simroots.basis import MAX_EXPONENT
 from simroots.cli import load_problem, main
 
 REFERENCE_PROBLEM = {
@@ -131,6 +132,14 @@ def test_dump_normalized_round_trip(tmp_path, capsys):
     assert main(["run", str(again), "--dump-normalized"]) == 0
     assert capsys.readouterr().out == first
 
+    # an integral float exponent, as basis.power takes it, normalizes to an int
+    basis = [dict(b, s=2.0) if b["kind"] == "power" else b
+             for b in REFERENCE_PROBLEM["basis"]]
+    floated = _write_problem(tmp_path, dict(REFERENCE_PROBLEM, basis=basis),
+                             "floated.json")
+    assert main(["run", str(floated), "--dump-normalized"]) == 0
+    assert capsys.readouterr().out == first
+
 
 def test_compare_merges_methods_and_reports_agreement(tmp_path):
     problem = _write_problem(tmp_path, REFERENCE_PROBLEM)
@@ -242,6 +251,11 @@ def test_rejection_messages_name_the_field(tmp_path, capsys):
         ("settings", dict(REFERENCE_PROBLEM, settings={"max_iterations": "9"})),
         ("basis", dict(REFERENCE_PROBLEM,
                        basis=[{"kind": "constant"}, {"kind": "cubic"}])),
+        # a power table this long is never built
+        ("basis", dict(REFERENCE_PROBLEM, basis=[
+            {"kind": "constant"}, {"kind": "power", "s": 10 ** 30}])),
+        ("basis", dict(REFERENCE_PROBLEM, basis=[
+            {"kind": "constant"}, {"kind": "power", "s": MAX_EXPONENT + 1}])),
         ("initial", dict(REFERENCE_PROBLEM, initial=[-0.4])),
         ("polynomial", dict(REFERENCE_PROBLEM, polynomial={})),
         ("polynomial", dict(REFERENCE_PROBLEM, polynomial={

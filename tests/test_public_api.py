@@ -18,7 +18,6 @@ PUBLIC = [
     "InvalidConfiguration",
     "IterateCollision",
     "IterationState",
-    "Jet",
     "OrderEstimate",
     "OrderExceedsCap",
     "ProblemFileError",

@@ -749,16 +749,22 @@ def test_dimension_checks(reference_problem):
         solve(f, initial, REFERENCE_MULTIPLICITIES)
 
 
-def test_multiplicities_are_positive_integers():
+def test_multiplicities_are_positive_integers(reference_problem):
     for multiplicities in ([True, 2, 3.0], ["2", 2], [2.5, 1.5], [0, 4],
                            [2 + 0j, 2], np.array([True, True]), 2, None,
-                           [[2, 2]], b"\x02\x02", iter([2, 2]), {2.0, 3.0}):
+                           [[2, 2]], b"\x02\x02", iter([2, 2]), {2.0, 3.0},
+                           [10 ** 400, 2], [2.0 ** 53, 2]):
         with pytest.raises(InvalidConfiguration):
             positive_integers(multiplicities)
         with pytest.raises(InvalidConfiguration):
             IterationState([-0.4, 2.8], multiplicities)
+    # beyond the float range, where converting it would raise OverflowError
+    _, f = reference_problem
     with pytest.raises(InvalidConfiguration):
-        RootConfiguration(((-0.5, True), (3.0, "2")))
+        solve(f, [-0.4, 2.8], [10 ** 400, 2])
+    for nodes in (((-0.5, True), (3.0, "2")), ((1.0, 10 ** 400),)):
+        with pytest.raises(InvalidConfiguration):
+            RootConfiguration(nodes)
     assert positive_integers([2.0, np.int64(3), 1]) == [2, 3, 1]
     assert positive_integers(np.array([2.0, 3.0])) == [2, 3]
     assert type(positive_integers((np.int32(2),))[0]) is int
