@@ -263,16 +263,22 @@ def constant():
     return BasisFunction("constant")
 
 
-def power(s):
-    """x^s.  Raises InvalidConfiguration unless s is an integer from 0 to
-    MAX_EXPONENT: integral floats such as 2.0 and numpy integers pass,
-    bools and strings do not."""
+def _exponent(s):
+    """s as an int.  Raises InvalidConfiguration unless s is an integer
+    from 0 to MAX_EXPONENT: integral floats such as 2.0 and numpy integers
+    pass, bools and strings do not."""
     if isinstance(s, bool) or not isinstance(s, numbers.Real) or not (
             0 <= s <= MAX_EXPONENT and s % 1 == 0):
         raise InvalidConfiguration(
             "power exponent must be an integer from 0 to %d, got %r"
             % (MAX_EXPONENT, s))
-    return BasisFunction("power", s=int(s))
+    return int(s)
+
+
+def power(s):
+    """x^s, for s an integer from 0 to MAX_EXPONENT (InvalidConfiguration
+    otherwise), stored as an int."""
+    return BasisFunction("power", s=_exponent(s))
 
 
 def sine(omega):
@@ -366,8 +372,10 @@ class BasisSystem:
     nonsingularity is verified only at concrete node sets, when confluent
     matrices are built from them.
 
-    __post_init__ also plans tensor: the exponent of each power member
-    (the constant is the power x^0), and the other members.  The gather
+    __post_init__ refuses a member of unknown kind or a power member whose
+    exponent power() would refuse, with InvalidConfiguration.  It also
+    plans tensor: the exponent of each power member as an int (the
+    constant is the power x^0), and the other members.  The gather
     tables of each derivative order come from _gather, whose cache every
     system with the same exponents shares.
     """
@@ -388,8 +396,9 @@ class BasisSystem:
         for b in self.functions:
             if b.kind not in _KINDS:
                 raise InvalidConfiguration("unknown basis kind %r" % (b.kind,))
-        exponents = tuple(b.s if b.kind == "power" else 0 if b.kind == "constant"
-                          else None for b in self.functions)
+        exponents = tuple(_exponent(b.s) if b.kind == "power"
+                          else 0 if b.kind == "constant" else None
+                          for b in self.functions)
         table_size = max((s for s in exponents if s is not None), default=0) + 1
         for name, value in (
                 ("_cap", min(b.derivative_cap for b in self.functions)),

@@ -62,11 +62,14 @@ def _term_sums(rows, weights):
     """(value, scale) of every row of rows * weights, rows stacked on all
     axes but the last: the value sum_j w_j r_j, whose terms cancel, as an
     exactly rounded math.fsum; the scale sum_j |w_j r_j| as one numpy row
-    sum, within (k - 1) u of exact for k terms.  None where the scale is
-    not finite (a term is not, or the sum overflows) or the fsum
-    overflows."""
+    sum, within (k - 1) u of exact for k terms.  The products are laid out
+    in C order whatever the layout of rows, because numpy sums a row in an
+    order that depends on it, so that equal rows get equal scales.  None
+    where the scale is not finite (a term is not, or the sum overflows) or
+    the fsum overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are None
-        products = (rows * weights).reshape(-1, len(weights))
+        products = np.multiply(rows, weights, order="C").reshape(
+            -1, len(weights))
         scales = np.abs(products).sum(axis=1).tolist()
     sums = []
     for terms, scale in zip(products.tolist(), scales):

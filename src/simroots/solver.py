@@ -31,9 +31,18 @@ products go through genpoly._term_sums: each value an exactly rounded
 fsum, each term scale one plain row sum.  A correction is then scalar
 arithmetic and guards.
 
+The collision check compares neighbours in sorted order only: between
+the two values of any colliding pair lies a neighbour pair with the same
+limit and a gap no larger (_check_collisions).  NaN is left out of the
+sort, since it has no place in the order and collides with nothing.
+
 So a sweep and the checks on its result are pure functions of the
 approximations, and solve replays the sweeps after an accepted state
-repeats the bytes of an earlier one instead of recomputing them.
+repeats the bytes of an earlier one instead of recomputing them.  For the
+same reason a residual check at the bytes of the last computed sweep's
+snapshot, as after a sweep that held every root, reads that snapshot's
+tensor and row sums instead of evaluating the basis again
+(_swept_residual_sums).
 """
 
 import math
@@ -146,20 +155,35 @@ class SolveReport:
 
 def _check_collisions(xs):
     """Raise IterateCollision for the first pair i < j, in row order, with
-    |x_i - x_j| <= COLLISION_THRESHOLD * (1 + max(|x_i|, |x_j|))."""
-    with np.errstate(over="ignore"):  # an inf gap is no collision
+    |x_i - x_j| <= COLLISION_THRESHOLD * (1 + max(|x_i|, |x_j|)).
+
+    One sorted pass decides whether any pair collides: if a < c < b, then
+    |c| <= max(|a|, |b|), so one of (a, c) and (c, b) has the limit of
+    (a, b) and, rounding being monotone, a gap no larger.  So some pair
+    collides only if two neighbours in sorted order do.  NaN is left out:
+    a pair with NaN never collides, and values with NaN have no sorted
+    order.  Only when two neighbours collide does the scan of every pair
+    run, to name the first colliding pair in row order.
+    """
+    values = sorted(x for x in xs.tolist() if x == x)  # NaN != NaN
+    for a, b in zip(values, values[1:]):
+        if b - a <= COLLISION_THRESHOLD * (1.0 + max(abs(a), abs(b))):
+            break
+    else:
+        return
+    # an overflowed gap collides only with an infinite limit; inf - inf
+    # is NaN and collides with none
+    with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(xs[:, None] - xs)
     np.fill_diagonal(gap, np.nan)
     size = np.abs(xs)
     limit = COLLISION_THRESHOLD * (1.0 + np.maximum.outer(size, size))
     # gap and limit are symmetric, so the first hit in row order has i < j
-    hits = np.flatnonzero(gap <= limit)
-    if len(hits):
-        i, j = divmod(int(hits[0]), len(xs))
-        raise IterateCollision(
-            "approximations %d and %d are %.3e apart (limit %.3e)"
-            % (i, j, gap[i, j], limit[i, j])
-        )
+    i, j = divmod(int(np.flatnonzero(gap <= limit)[0]), len(xs))
+    raise IterateCollision(
+        "approximations %d and %d are %.3e apart (limit %.3e)"
+        % (i, j, gap[i, j], limit[i, j])
+    )
 
 
 def is_monomial_basis(basis):
@@ -224,38 +248,51 @@ def _check_inputs(f, multiplicities, settings):
     return order
 
 
-_Plan = namedtuple("_Plan", "top read node probe nonzero")
+_Plan = namedtuple("_Plan", "top step_rows columns read node probe nonzero")
 
 
 def _plan(f, mult, settings):
     """_check_inputs, then what the sweeps of a solve read, indexed once:
-    the top order of a sweep's tensor; in it, flat indices of the entries
-    at the nonzero coefficients of orders p_i, p_i + 1 of root i (read),
-    and of the rows of the node block (node) and of orders alpha_i,
-    alpha_i + 1 of root i (probe), which ehrlich does not read; and the
-    nonzero coefficients."""
+    the top order of a sweep's tensor; the rows of orders p_i, p_i + 1 of
+    root i, numbered as in the tensor's (m (top + 1), n + 1) reshape
+    (step_rows); the nonzero coefficients' columns; flat indices of the
+    entries in those rows and columns (read); the rows of the node block
+    (node), or None where the tensor stops below order alpha_i - 1 (as
+    ehrlich's does at a root of multiplicity 3 or more), and the rows of
+    orders alpha_i, alpha_i + 1 of root i (probe), which ehrlich does not
+    read; and the nonzero coefficients."""
     top = _check_inputs(f, mult, settings)
     columns = np.flatnonzero(f.coefficients)
     first = np.arange(len(mult)) * (top + 1)  # root i's row of order 0
     # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
     p = first + (mult - 1 if settings.method == "method13" else 0)
-    read = (p[:, None] + (0, 1)).reshape(-1, 1) * len(f.basis) + columns
-    return _Plan(top, read, np.flatnonzero(np.arange(top + 1) < mult[:, None]),
+    step_rows = (p[:, None] + (0, 1)).reshape(-1)
+    node = np.flatnonzero(np.arange(top + 1) < mult[:, None])
+    return _Plan(top, step_rows.tolist(), columns,
+                 step_rows[:, None] * len(f.basis) + columns,
+                 # the block has n rows, one per unit of multiplicity,
+                 # unless the tensor stops short of some
+                 node if len(node) == len(f.basis) - 1 else None,
                  (first + mult)[:, None] + (0, 1), f.coefficients[columns])
 
 
-def _snapshot(f, state, settings, plan=None):
+def _snapshot(f, state, settings, plan=None, keep=None):
     """Checks the collisions, then returns (sums, rank_ratio, q_sums,
     shifts) from one f.basis.tensor(xs, top), top the highest order any
     root needs: sums[i] = f.row_sums of rows p_i and p_i + 1 of root i,
     the orders its step reads; for method3 and method13, the singular
     value ratio of the node block and _q_sums on its null vector; for
-    ehrlich, shifts = the pairwise sums.  A call without a plan builds it."""
+    ehrlich, shifts = the pairwise sums.  A call without a plan builds it.
+    A list keep receives [xs.tobytes(), tensor, the row sums of
+    plan.step_rows] as soon as those sums exist, before any guard can
+    raise."""
     plan = plan or _plan(f, state.multiplicities, settings)
     xs, mult = state.approximations, state.multiplicities
     _check_collisions(xs)
     rows = f.basis.tensor(xs, plan.top)
     pairs = _term_sums(rows.take(plan.read), plan.nonzero)
+    if keep is not None:
+        keep[:] = xs.tobytes(), rows, pairs
     sums = list(zip(pairs[::2], pairs[1::2]))
     if settings.method == "ehrlich":
         return sums, None, None, _pairwise_sums(xs, mult)
@@ -308,13 +345,14 @@ def single_correction(f, state, i, settings, snapshot=None):
                              fp * (at_qp[0] / (factor * q)), method)
 
 
-def _compute_corrections(f, state, settings, map_=map, plan=None):
+def _compute_corrections(f, state, settings, map_=map, plan=None, keep=None):
     """Corrections for every root index of the snapshot, in index order.
 
-    map_ runs single_correction over the indices with one shared _snapshot:
-    the builtin map in turn, an executor's map concurrently.
+    map_ runs single_correction over the indices with one shared _snapshot
+    (which fills keep): the builtin map in turn, an executor's map
+    concurrently.
     """
-    snapshot = _snapshot(f, state, settings, plan)
+    snapshot = _snapshot(f, state, settings, plan, keep)
     return np.array(list(map_(
         lambda i: single_correction(f, state, i, settings, snapshot),
         range(len(state.approximations)))))
@@ -331,8 +369,8 @@ def parallel_corrections(f, state, settings):
         return _compute_corrections(f, state, settings, pool.map)
 
 
-def _step(f, state, settings, plan=None):
-    corrections = _compute_corrections(f, state, settings, plan=plan)
+def _step(f, state, settings, plan=None, keep=None):
+    corrections = _compute_corrections(f, state, settings, plan=plan, keep=keep)
     with np.errstate(over="ignore"):  # an inf iterate ends in domain_escape
         return state.approximations - corrections, corrections
 
@@ -369,22 +407,62 @@ def _residual_sums(f, approximations, multiplicities):
             return [None]
         return [_residual_sums(f, [x], [alpha])[0]
                 for x, alpha in zip(approximations, multiplicities)]
-    sums = iter(f.row_sums(node_rows(tensor, multiplicities)))
-    roots = [[next(sums) for _ in range(int(alpha))] for alpha in multiplicities]
-    return [None if None in root else root for root in roots]
+    return _by_root(f.row_sums(node_rows(tensor, multiplicities)),
+                    multiplicities)
+
+
+def _by_root(sums, multiplicities):
+    """The list of sums of the node rows, alpha_i per root i in root order,
+    grouped by root; None for a root where one of them is None."""
+    roots, end = [], 0
+    for alpha in np.asarray(multiplicities).tolist():
+        root = sums[end:end + alpha]
+        end += alpha
+        roots.append(None if None in root else root)
+    return roots
+
+
+def _swept_residual_sums(f, approximations, multiplicities, plan, kept):
+    """_residual_sums(f, approximations, multiplicities), read where it can
+    be from kept = [bytes, tensor, row sums] of the last snapshot a sweep
+    built (see _snapshot).  When the approximations have those bytes and
+    the tensor reaches order alpha_i - 1 of every root (plan.node), the
+    node rows the sweep summed come from its sums, and the others from
+    its tensor in one _term_sums.  No entry of a tensor depends on its
+    top order (jets are prefix-stable, and each power entry is one libm
+    pow), so both are what a fresh tensor gives.  Otherwise one fresh
+    tensor, as _residual_sums builds."""
+    if (plan.node is None or not kept
+            or kept[0] != approximations.tobytes()):
+        return _residual_sums(f, approximations, multiplicities)
+    _, tensor, pairs = kept
+    node = plan.node.tolist()
+    at = dict(zip(plan.step_rows, pairs))
+    fresh = [row for row in node if row not in at]
+    if fresh:
+        rows = tensor.reshape(-1, tensor.shape[2])[fresh]
+        at.update(zip(fresh, _term_sums(rows[:, plan.columns], plan.nonzero)))
+    return _by_root([at[row] for row in node], multiplicities)
 
 
 def _residuals_validate(sums):
-    return all(root is not None and not any(
-        abs(value) > RESIDUAL_VALIDATION_FACTOR * (1.0 + magnitude)
-        for value, magnitude in root) for root in sums)
+    for root in sums:
+        if root is None:
+            return False
+        for value, magnitude in root:
+            if abs(value) > RESIDUAL_VALIDATION_FACTOR * (1.0 + magnitude):
+                return False
+    return True
 
 
 def _final_residuals(sums, multiplicities):
     out = []
-    for root, alpha in zip(sums, multiplicities):
-        out.extend([math.inf] * int(alpha) if root is None
-                   else [abs(value) for value, _ in root])
+    for root, alpha in zip(sums, np.asarray(multiplicities).tolist()):
+        if root is None:
+            out += [math.inf] * alpha
+        else:
+            for value, _ in root:
+                out.append(abs(value))
     return out
 
 
@@ -409,7 +487,10 @@ def solve(f, initial, multiplicities, settings=None):
     has the approximation bytes of an earlier state j (bytes keep -0.0
     apart from 0.0), state k + i would repeat state j + i, checks and all,
     until the budget runs out; those states are copied from the history,
-    neither computed nor validated again.
+    neither computed nor validated again.  The convergence check and the
+    final residuals read the last computed sweep's tensor and row sums
+    when the iterates did not move in that sweep (their bytes are those
+    of its snapshot), and build a fresh tensor otherwise.
     """
     settings = settings or SolverSettings()
     state = IterationState(initial, multiplicities)
@@ -418,6 +499,7 @@ def solve(f, initial, multiplicities, settings=None):
     history = [state]
     status = sums = summed = None
     seen = {}  # approximations.tobytes() -> k of every accepted state
+    kept = []  # what the last computed sweep's snapshot read (_snapshot)
 
     if not all(map(f.basis.contains, state.approximations.tolist())):
         status = SolveStatus.domain_escape
@@ -439,7 +521,7 @@ def solve(f, initial, multiplicities, settings=None):
             status = SolveStatus.max_iterations
             break
         try:
-            new, corrections = _step(f, state, settings, plan)
+            new, corrections = _step(f, state, settings, plan, kept)
         except IterateCollision:
             status = SolveStatus.iterate_collision
             break
@@ -456,7 +538,8 @@ def solve(f, initial, multiplicities, settings=None):
             status = SolveStatus.domain_escape
             break
         if float(np.max(np.abs(corrections))) < settings.tolerance:
-            sums, summed = _residual_sums(f, new, mult), new.tobytes()
+            sums = _swept_residual_sums(f, new, mult, plan, kept)
+            summed = new.tobytes()
             if _residuals_validate(sums):
                 status = SolveStatus.converged
                 break
@@ -465,5 +548,5 @@ def solve(f, initial, multiplicities, settings=None):
 
     final = history[-1]
     if summed != final.approximations.tobytes():
-        sums = _residual_sums(f, final.approximations, mult)
+        sums = _swept_residual_sums(f, final.approximations, mult, plan, kept)
     return SolveReport(history, status, final.k, _final_residuals(sums, mult))

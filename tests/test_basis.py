@@ -370,8 +370,15 @@ def test_parser_tree_shape():
 def test_power_exponent_is_a_nonnegative_integer(s):
     with pytest.raises(InvalidConfiguration):
         power(s)
+    # a hand-built member meets the same rule where every member passes
+    with pytest.raises(InvalidConfiguration, match="power exponent"):
+        BasisSystem((constant(), BasisFunction("power", s=s)))
     assert power(2.0).s == power(np.int64(2)).s == 2
     assert power(MAX_EXPONENT).s == MAX_EXPONENT
+    hand_built = BasisSystem((constant(), BasisFunction("power", s=2.0)))
+    assert np.array_equal(hand_built.tensor([1.5, -3.0], 3),
+                          BasisSystem((constant(), power(2))).tensor(
+                              [1.5, -3.0], 3))
 
 
 def test_expression_cap_enforced():

@@ -85,6 +85,9 @@ def test_term_sums_take_exact_values_and_row_sum_scales():
     sums = _term_sums(rows, weights)
     # a stack of (root, order) rows, as the probe rows are, sums the same
     assert _term_sums(rows.reshape(20, 2, k), weights) == sums
+    # and so does the stack laid out column by column, as a selection of
+    # a tensor's columns is
+    assert _term_sums(np.asfortranarray(rows), weights) == sums
     for terms, got in zip(rows * weights, sums):
         value, magnitude = _per_row_sums(terms.tolist())
         assert got[0] == value == math.fsum(terms)

@@ -7,6 +7,7 @@ reference values for this configuration.
 """
 
 import math
+import random
 import warnings
 from collections import Counter
 
@@ -163,6 +164,62 @@ def test_vectorized_snapshot_checks_match_the_loops():
     xs = np.array([1.0, 3.0, 2.0, 3.0 + 1e-13, 2.0 + 1e-13])
     with pytest.raises(IterateCollision, match="approximations 1 and 3 "):
         solver._check_collisions(xs)
+
+
+def _first_collision(xs):
+    """The scan of every pair that the sorted pass stands in for: the
+    message for the first pair i < j in row order that collides, or None."""
+    xs = xs.tolist()
+    for i, a in enumerate(xs):
+        for j in range(i + 1, len(xs)):
+            b = xs[j]
+            gap = abs(a - b)
+            limit = solver.COLLISION_THRESHOLD * (1.0 + max(abs(a), abs(b)))
+            if gap <= limit:
+                return ("approximations %d and %d are %.3e apart (limit %.3e)"
+                        % (i, j, gap, limit))
+    return None
+
+
+def _planted_values(rng, m):
+    """m values of either sign at scales 1e-3 .. 1e6, with up to three
+    planted pairs: gaps from half to twice the limit (one part in 1e9 on
+    either side of it among them), duplicates, signed zeros, infinities
+    and NaN."""
+    xs = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 6.0)
+          for _ in range(m)]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(m), rng.randrange(m)
+        kind = rng.choice(("near", "duplicate", "zeros", "inf", "nan"))
+        if kind == "near":
+            limit = solver.COLLISION_THRESHOLD * (1.0 + abs(xs[i]))
+            xs[j] = xs[i] + rng.choice((-1.0, 1.0)) * limit * rng.choice(
+                (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0))
+        elif kind == "duplicate":
+            xs[j] = xs[i]
+        elif kind == "zeros":
+            xs[i], xs[j] = rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0))
+        else:
+            xs[j] = rng.choice((math.inf, -math.inf)) if kind == "inf" \
+                else math.nan
+    return np.array(xs)
+
+
+def test_the_sorted_pass_finds_what_the_pair_scan_finds():
+    # raises exactly when some pair collides, naming the first in row order
+    rng = random.Random(20261019)
+    collided = 0
+    for _ in range(400):
+        xs = _planted_values(rng, rng.randint(1, 40))
+        expected = _first_collision(xs)
+        if expected is None:
+            solver._check_collisions(xs)
+            continue
+        collided += 1
+        with pytest.raises(IterateCollision) as raised:
+            solver._check_collisions(xs)
+        assert str(raised.value) == expected
+    assert 100 < collided < 300
 
 
 @pytest.mark.parametrize("method", ["method3", "method13"])
@@ -469,8 +526,8 @@ def test_replayed_cycles_match_the_computed_loop(name):
             assert _first_repeat(expected.history) == (j, k)
 
 
-# (name, computed sweeps, _residual_sums calls) at the default budget:
-# one sum per computed state that meets the tolerance, and one for the
+# (name, computed sweeps, residual checks) at the default budget: one
+# check per computed state that meets the tolerance, and one for the
 # final state unless it has the bytes of the last of them, as in a
 # period-1 hold
 @pytest.mark.parametrize("name, sweeps, sums", [("mixed ehrlich", 19, 1),
@@ -485,11 +542,17 @@ def test_sweeps_after_a_repeat_are_not_computed(name, sweeps, sums,
     calls = Counter()
     monkeypatch.setattr(solver, "_step",
                         _counting(calls, "step", solver._step))
-    monkeypatch.setattr(solver, "_residual_sums",
-                        _counting(calls, "sums", solver._residual_sums))
+    monkeypatch.setattr(solver, "_swept_residual_sums", _counting(
+        calls, "sums", solver._swept_residual_sums))
+    monkeypatch.setattr(BasisSystem, "tensor",
+                        _counting(calls, "tensor", BasisSystem.tensor))
     report = solve(f, initial, multiplicities, SolverSettings(method=method))
     assert report.iterations_used == 50
-    assert calls == {"step": sweeps, "sums": sums}
+    # one tensor per computed sweep, and one per check at bytes other
+    # than those of the last computed sweep's snapshot, or at orders its
+    # tensor does not reach (mixed ehrlich's stops at order 1)
+    tensors = sweeps + {"mixed ehrlich": 1, "wrong claim": 5}.get(name, 0)
+    assert calls == {"step": sweeps, "sums": sums, "tensor": tensors}
 
 
 def test_a_solve_checks_its_input_once(monkeypatch):
@@ -637,7 +700,8 @@ def _counting(calls, name, fn):
     return wrapper
 
 
-def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch):
+def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch,
+                                                   reference_problem):
     f, state = _monomial_snapshot((1,) * 14)
     calls = Counter()
 
@@ -669,6 +733,70 @@ def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch):
         solver._residual_sums(f, report.history[-1].approximations,
                               state.multiplicities)
         assert calls == {"tensor": 1, "fsum": sum(multiplicities)}
+    # a converged solve whose last sweep held every root checks its
+    # residuals from that sweep: one tensor per computed sweep, none after
+    _, reference = reference_problem
+    simple, _ = _monomial_snapshot((1,) * 14)
+    for f, initial, multiplicities, method in [
+            (reference, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES, method)
+            for method in ("method3", "method13")] + [
+            (simple, simple.construction_roots.locations, (1,) * 14, method)
+            for method in METHODS]:
+        calls.clear()
+        report = solve(f, initial, multiplicities,
+                       SolverSettings(method=method))
+        last, held = report.history[-2:]
+        assert report.status is SolveStatus.converged
+        assert held.approximations.tobytes() == last.approximations.tobytes()
+        assert calls["tensor"] == report.iterations_used, method
+
+
+def _expression_reference_problem():
+    system = BasisSystem(tuple(expression(source) for source in (
+        "1", "x*x", "sin(3*x)", "exp(-x)", "1/(1+x*x)")))
+    return from_roots(system, REFERENCE_ROOTS)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_residuals_read_from_the_last_sweep_match_a_fresh_check(
+        method, reference_problem, monkeypatch):
+    # every residual check at the bytes of the last computed sweep's
+    # snapshot reads that snapshot; each must equal a fresh _residual_sums,
+    # and the report the computed loop's, which only sums afresh
+    _, reference = reference_problem
+    simple, simple_state = _monomial_snapshot((1,) * 14)
+    mixed, mixed_state = _monomial_snapshot((3, 3, 2, 2, 2))
+    cases = [(simple, simple_state.approximations, (1,) * 14),
+             (simple, simple.construction_roots.locations, (1,) * 14),
+             (mixed, mixed_state.approximations, (3, 3, 2, 2, 2))]
+    if method != "ehrlich":
+        cases += [(reference, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES),
+                  (_expression_reference_problem(), REFERENCE_INITIAL,
+                   REFERENCE_MULTIPLICITIES)]
+    checks = Counter()
+    swept = solver._swept_residual_sums
+
+    def checked(f, approximations, multiplicities, plan, kept):
+        sums = swept(f, approximations, multiplicities, plan, kept)
+        assert sums == solver._residual_sums(f, approximations, multiplicities)
+        checks[kept[0] == approximations.tobytes()] += 1
+        return sums
+
+    monkeypatch.setattr(solver, "_swept_residual_sums", checked)
+    settings = SolverSettings(method=method)
+    for f, initial, multiplicities in cases:
+        report = solve(f, initial, multiplicities, settings)
+        assert report_bytes(report) == report_bytes(
+            reference_solve(f, initial, multiplicities, settings))
+        final = report.history[-1].approximations
+        sums = solver._residual_sums(f, final, report.history[0].multiplicities)
+        assert report.final_residuals == solver._final_residuals(
+            sums, multiplicities)
+        assert (report.status is SolveStatus.converged) \
+            == solver._residuals_validate(sums)
+    # both kinds occur: a last sweep that held every root, and one that
+    # moved one (the simple and mixed starts)
+    assert checks[True] and checks[False]
 
 
 def test_only_the_root_that_escapes_loses_its_residuals():
