@@ -22,7 +22,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .analysis import estimate_order
-from .confluent import RootConfiguration
+from .confluent import RootConfiguration, positive_integers
 from .errors import (
     InsufficientHistory,
     InvalidConfiguration,
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .genpoly import GeneralizedPolynomial, from_roots
 from .solver import (
-    METHODS,
     SolverSettings,
     SolveStatus,
     is_monomial_basis,
@@ -133,10 +132,12 @@ def load_problem(path):
         raise ProblemFileError("the problem file must hold a JSON object")
 
     multiplicities = doc.get("multiplicities")
-    if not isinstance(multiplicities, list) or not multiplicities or any(
-            isinstance(m, bool) or not isinstance(m, int) or m < 1
-            for m in multiplicities):
+    if not isinstance(multiplicities, list) or not multiplicities:
         _fail("multiplicities", "expected a nonempty list of positive integers")
+    try:
+        multiplicities = positive_integers(multiplicities)
+    except InvalidConfiguration as exc:
+        _fail("multiplicities", str(exc))
 
     # diagnostics touch derivatives up to alpha + 2
     cap = max(8, max(multiplicities) + 2)
@@ -188,26 +189,24 @@ def load_problem(path):
             if not isinstance(entry, dict) or "x" not in entry \
                     or "multiplicity" not in entry:
                 _fail("polynomial", "each root needs 'x' and 'multiplicity'")
-            mult = entry["multiplicity"]
-            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-                _fail("polynomial", "'multiplicity' must be a positive integer")
-            pairs.append((_require_number("polynomial", entry["x"]), mult))
+            pairs.append((_require_number("polynomial", entry["x"]),
+                          entry["multiplicity"]))
         try:
             true_roots = RootConfiguration(tuple(pairs))
             f = from_roots(system, true_roots)
         except (SimrootsError, OverflowError) as exc:
             _fail("polynomial", str(exc))
-        normalized_poly = {
-            "roots": [{"x": x, "multiplicity": m} for x, m in pairs]
-        }
+        normalized_poly = {"roots": [{"x": x, "multiplicity": m}
+                                     for x, m in true_roots.nodes]}
 
     methods = doc.get("methods")
     if not isinstance(methods, list) or not methods:
         _fail("methods", "expected a nonempty list")
     for m in methods:
-        if m not in METHODS:
-            _fail("methods", "unknown method %r (known: %s)"
-                  % (m, ", ".join(METHODS)))
+        try:
+            SolverSettings(method=m)
+        except InvalidConfiguration as exc:
+            _fail("methods", str(exc))
     if len(set(methods)) != len(methods):
         _fail("methods", "duplicate entries")
     if "ehrlich" in methods and not is_monomial_basis(system):

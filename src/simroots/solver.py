@@ -39,10 +39,10 @@ sort, since it has no place in the order and collides with nothing.
 So a sweep and the checks on its result are pure functions of the
 approximations, and solve replays the sweeps after an accepted state
 repeats the bytes of an earlier one instead of recomputing them.  For the
-same reason a residual check at the bytes of the last computed sweep's
-snapshot, as after a sweep that held every root, reads that snapshot's
-tensor and row sums instead of evaluating the basis again
-(_swept_residual_sums).
+same reason a sweep (_step) returns the snapshot it read, tensor
+included, and a residual check at the bytes of that snapshot, as after a
+sweep that held every root, reads its row sums or its tensor instead of
+evaluating the basis again (_residual_sums).
 """
 
 import math
@@ -248,57 +248,51 @@ def _check_inputs(f, multiplicities, settings):
     return order
 
 
-_Plan = namedtuple("_Plan", "top step_rows columns read node probe nonzero")
+_Plan = namedtuple("_Plan", "top read node probe nonzero paired")
 
 
 def _plan(f, mult, settings):
     """_check_inputs, then what the sweeps of a solve read, indexed once:
-    the top order of a sweep's tensor; the rows of orders p_i, p_i + 1 of
-    root i, numbered as in the tensor's (m (top + 1), n + 1) reshape
-    (step_rows); the nonzero coefficients' columns; flat indices of the
-    entries in those rows and columns (read); the rows of the node block
-    (node), or None where the tensor stops below order alpha_i - 1 (as
-    ehrlich's does at a root of multiplicity 3 or more), and the rows of
-    orders alpha_i, alpha_i + 1 of root i (probe), which ehrlich does not
-    read; and the nonzero coefficients."""
+    the top order of a sweep's tensor; flat indices, in the tensor, of the
+    nonzero coefficients' entries in the rows of orders p_i and p_i + 1
+    of root i (read); the rows of the node block (node) and the rows of
+    orders alpha_i, alpha_i + 1 of root i (probe), numbered as in the
+    tensor's (m (top + 1), n + 1) reshape, which ehrlich does not read;
+    the nonzero coefficients; and whether the rows p_i, p_i + 1 of every
+    root start with all its node rows, that is p_i = 0 and alpha_i <= 2
+    (paired)."""
     top = _check_inputs(f, mult, settings)
     columns = np.flatnonzero(f.coefficients)
     first = np.arange(len(mult)) * (top + 1)  # root i's row of order 0
     # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
-    p = first + (mult - 1 if settings.method == "method13" else 0)
-    step_rows = (p[:, None] + (0, 1)).reshape(-1)
-    node = np.flatnonzero(np.arange(top + 1) < mult[:, None])
-    return _Plan(top, step_rows.tolist(), columns,
-                 step_rows[:, None] * len(f.basis) + columns,
-                 # the block has n rows, one per unit of multiplicity,
-                 # unless the tensor stops short of some
-                 node if len(node) == len(f.basis) - 1 else None,
-                 (first + mult)[:, None] + (0, 1), f.coefficients[columns])
+    method13 = settings.method == "method13"
+    p = first + (mult - 1 if method13 else 0)
+    step_rows = (p[:, None] + (0, 1)).reshape(-1, 1)
+    return _Plan(top, step_rows * len(f.basis) + columns,
+                 np.flatnonzero(np.arange(top + 1) < mult[:, None]),
+                 (first + mult)[:, None] + (0, 1), f.coefficients[columns],
+                 max(mult.tolist()) <= (1 if method13 else 2))
 
 
-def _snapshot(f, state, settings, plan=None, keep=None):
+def _snapshot(f, state, settings, plan=None):
     """Checks the collisions, then returns (sums, rank_ratio, q_sums,
-    shifts) from one f.basis.tensor(xs, top), top the highest order any
-    root needs: sums[i] = f.row_sums of rows p_i and p_i + 1 of root i,
-    the orders its step reads; for method3 and method13, the singular
-    value ratio of the node block and _q_sums on its null vector; for
-    ehrlich, shifts = the pairwise sums.  A call without a plan builds it.
-    A list keep receives [xs.tobytes(), tensor, the row sums of
-    plan.step_rows] as soon as those sums exist, before any guard can
-    raise."""
+    shifts, tensor) from one tensor = f.basis.tensor(xs, top), top the
+    highest order any root needs: sums[i] = f.row_sums of rows p_i and
+    p_i + 1 of root i, the orders its step reads; for method3 and
+    method13, the singular value ratio of the node block and _q_sums on
+    its null vector; for ehrlich, shifts = the pairwise sums.  A call
+    without a plan builds it."""
     plan = plan or _plan(f, state.multiplicities, settings)
     xs, mult = state.approximations, state.multiplicities
     _check_collisions(xs)
-    rows = f.basis.tensor(xs, plan.top)
-    pairs = _term_sums(rows.take(plan.read), plan.nonzero)
-    if keep is not None:
-        keep[:] = xs.tobytes(), rows, pairs
+    tensor = f.basis.tensor(xs, plan.top)
+    pairs = _term_sums(tensor.take(plan.read), plan.nonzero)
     sums = list(zip(pairs[::2], pairs[1::2]))
     if settings.method == "ehrlich":
-        return sums, None, None, _pairwise_sums(xs, mult)
-    rows = rows.reshape(-1, rows.shape[2])
+        return sums, None, None, _pairwise_sums(xs, mult), tensor
+    rows = tensor.reshape(-1, tensor.shape[2])
     c, rank_ratio = node_null_vector(rows[plan.node])
-    return sums, rank_ratio, _q_sums(rows[plan.probe], c), None
+    return sums, rank_ratio, _q_sums(rows[plan.probe], c), None, tensor
 
 
 def single_correction(f, state, i, settings, snapshot=None):
@@ -311,7 +305,8 @@ def single_correction(f, state, i, settings, snapshot=None):
     noise-floor hold, the rank guard, Q and its cancellation guard, Q',
     f^(p+1) and the denominator guard.
     """
-    sums, rank_ratio, q_sums, shifts = snapshot or _snapshot(f, state, settings)
+    sums, rank_ratio, q_sums, shifts, _ = snapshot or _snapshot(
+        f, state, settings)
     alpha = int(state.multiplicities[i])
     method = settings.method
     at_p, at_next = sums[i]
@@ -345,19 +340,6 @@ def single_correction(f, state, i, settings, snapshot=None):
                              fp * (at_qp[0] / (factor * q)), method)
 
 
-def _compute_corrections(f, state, settings, map_=map, plan=None, keep=None):
-    """Corrections for every root index of the snapshot, in index order.
-
-    map_ runs single_correction over the indices with one shared _snapshot
-    (which fills keep): the builtin map in turn, an executor's map
-    concurrently.
-    """
-    snapshot = _snapshot(f, state, settings, plan, keep)
-    return np.array(list(map_(
-        lambda i: single_correction(f, state, i, settings, snapshot),
-        range(len(state.approximations)))))
-
-
 def parallel_corrections(f, state, settings):
     """Corrections computed concurrently, one task per root index.
 
@@ -366,13 +348,20 @@ def parallel_corrections(f, state, settings):
     snapshot.
     """
     with ThreadPoolExecutor() as pool:
-        return _compute_corrections(f, state, settings, pool.map)
+        return _step(f, state, settings, map_=pool.map)[1]
 
 
-def _step(f, state, settings, plan=None, keep=None):
-    corrections = _compute_corrections(f, state, settings, plan=plan, keep=keep)
+def _step(f, state, settings, plan=None, map_=map):
+    """One total-step sweep: (new approximations, corrections, snapshot),
+    the corrections of every root index in index order, all read from the
+    one _snapshot returned.  map_ runs single_correction over the indices:
+    the builtin map in turn, an executor's map concurrently."""
+    snapshot = _snapshot(f, state, settings, plan)
+    corrections = np.array(list(map_(
+        lambda i: single_correction(f, state, i, settings, snapshot),
+        range(len(state.approximations)))))
     with np.errstate(over="ignore"):  # an inf iterate ends in domain_escape
-        return state.approximations - corrections, corrections
+        return state.approximations - corrections, corrections, snapshot
 
 
 def step_method3(f, state, settings=None):
@@ -395,18 +384,35 @@ def _with_method(settings, method):
     return replace(settings or SolverSettings(), method=method)
 
 
-def _residual_sums(f, approximations, multiplicities):
+def _residual_sums(f, approximations, multiplicities, plan=None,
+                   snapshot=None):
     """Per root, (f^(q)(x), its term magnitude) for q < alpha, or None when
-    x has left the basis domain or a value the float range.  One tensor
-    serves every root; when it raises, each root is evaluated alone, so
-    that only a root that escapes gets None."""
-    try:
-        tensor = f.basis.tensor(approximations, int(max(multiplicities)) - 1)
-    except (DomainError, OverflowError):
-        if len(approximations) == 1:
-            return [None]
-        return [_residual_sums(f, [x], [alpha])[0]
-                for x, alpha in zip(approximations, multiplicities)]
+    x has left the basis domain or a value the float range.  Given the
+    _snapshot a sweep with this plan built at these approximations (the
+    same bytes), the sums are read from it: the first alpha_i of root i's
+    pair of sums when the plan is paired, else the node rows of its
+    tensor when that reaches order alpha_i - 1 of every root (ehrlich's
+    stops at order 1).  No entry of a tensor depends on its top order
+    (jets are prefix-stable, and each power entry is one libm pow), and
+    _term_sums sums each row alike, so both give the bits of a fresh
+    tensor.  Otherwise one fresh tensor serves every root; when it raises,
+    each root is evaluated alone, so that only a root that escapes gets
+    None."""
+    top = int(max(multiplicities)) - 1
+    if snapshot is not None and plan.paired:
+        return _by_root([s for pair, alpha in zip(
+            snapshot[0], multiplicities.tolist()) for s in pair[:alpha]],
+            multiplicities)
+    if snapshot is not None and snapshot[-1].shape[1] > top:
+        tensor = snapshot[-1]
+    else:
+        try:
+            tensor = f.basis.tensor(approximations, top)
+        except (DomainError, OverflowError):
+            if len(approximations) == 1:
+                return [None]
+            return [_residual_sums(f, [x], [alpha])[0]
+                    for x, alpha in zip(approximations, multiplicities)]
     return _by_root(f.row_sums(node_rows(tensor, multiplicities)),
                     multiplicities)
 
@@ -420,29 +426,6 @@ def _by_root(sums, multiplicities):
         end += alpha
         roots.append(None if None in root else root)
     return roots
-
-
-def _swept_residual_sums(f, approximations, multiplicities, plan, kept):
-    """_residual_sums(f, approximations, multiplicities), read where it can
-    be from kept = [bytes, tensor, row sums] of the last snapshot a sweep
-    built (see _snapshot).  When the approximations have those bytes and
-    the tensor reaches order alpha_i - 1 of every root (plan.node), the
-    node rows the sweep summed come from its sums, and the others from
-    its tensor in one _term_sums.  No entry of a tensor depends on its
-    top order (jets are prefix-stable, and each power entry is one libm
-    pow), so both are what a fresh tensor gives.  Otherwise one fresh
-    tensor, as _residual_sums builds."""
-    if (plan.node is None or not kept
-            or kept[0] != approximations.tobytes()):
-        return _residual_sums(f, approximations, multiplicities)
-    _, tensor, pairs = kept
-    node = plan.node.tolist()
-    at = dict(zip(plan.step_rows, pairs))
-    fresh = [row for row in node if row not in at]
-    if fresh:
-        rows = tensor.reshape(-1, tensor.shape[2])[fresh]
-        at.update(zip(fresh, _term_sums(rows[:, plan.columns], plan.nonzero)))
-    return _by_root([at[row] for row in node], multiplicities)
 
 
 def _residuals_validate(sums):
@@ -488,9 +471,10 @@ def solve(f, initial, multiplicities, settings=None):
     apart from 0.0), state k + i would repeat state j + i, checks and all,
     until the budget runs out; those states are copied from the history,
     neither computed nor validated again.  The convergence check and the
-    final residuals read the last computed sweep's tensor and row sums
+    final residuals read the snapshot the last computed sweep returned
     when the iterates did not move in that sweep (their bytes are those
-    of its snapshot), and build a fresh tensor otherwise.
+    of the snapshot), and build a fresh tensor otherwise, as after a
+    sweep that raised a guard (_residual_sums).
     """
     settings = settings or SolverSettings()
     state = IterationState(initial, multiplicities)
@@ -499,7 +483,7 @@ def solve(f, initial, multiplicities, settings=None):
     history = [state]
     status = sums = summed = None
     seen = {}  # approximations.tobytes() -> k of every accepted state
-    kept = []  # what the last computed sweep's snapshot read (_snapshot)
+    swept = snapshot = None  # bytes and snapshot of the last computed sweep
 
     if not all(map(f.basis.contains, state.approximations.tolist())):
         status = SolveStatus.domain_escape
@@ -508,8 +492,8 @@ def solve(f, initial, multiplicities, settings=None):
         if state.k >= settings.max_iterations:
             status = SolveStatus.max_iterations
             break
-        period = state.k - seen.setdefault(
-            state.approximations.tobytes(), state.k)
+        key = state.approximations.tobytes()
+        period = state.k - seen.setdefault(key, state.k)
         if period:
             # state k repeats state k - period: every later sweep repeats
             # the one period sweeps before it, checks and all
@@ -521,7 +505,7 @@ def solve(f, initial, multiplicities, settings=None):
             status = SolveStatus.max_iterations
             break
         try:
-            new, corrections = _step(f, state, settings, plan, kept)
+            new, corrections, snapshot = _step(f, state, settings, plan)
         except IterateCollision:
             status = SolveStatus.iterate_collision
             break
@@ -532,14 +516,16 @@ def solve(f, initial, multiplicities, settings=None):
             # an evaluation left the basis domain or the float range
             status = SolveStatus.domain_escape
             break
+        swept = key
         state = _accepted(new, mult, state.k + 1, corrections)
         history.append(state)
         if not all(map(f.basis.contains, new.tolist())):
             status = SolveStatus.domain_escape
             break
         if float(np.max(np.abs(corrections))) < settings.tolerance:
-            sums = _swept_residual_sums(f, new, mult, plan, kept)
             summed = new.tobytes()
+            sums = _residual_sums(f, new, mult, plan,
+                                  snapshot if summed == swept else None)
             if _residuals_validate(sums):
                 status = SolveStatus.converged
                 break
@@ -547,6 +533,8 @@ def solve(f, initial, multiplicities, settings=None):
             # multiplicities; keep stepping until the budget runs out
 
     final = history[-1]
-    if summed != final.approximations.tobytes():
-        sums = _swept_residual_sums(f, final.approximations, mult, plan, kept)
+    at = final.approximations.tobytes()
+    if summed != at:
+        sums = _residual_sums(f, final.approximations, mult, plan,
+                              snapshot if at == swept else None)
     return SolveReport(history, status, final.k, _final_residuals(sums, mult))

@@ -29,7 +29,7 @@ def reference_solve(f, initial, multiplicities, settings=None):
             status = SolveStatus.max_iterations
             break
         try:
-            new, corrections = solver._step(f, state, settings)
+            new, corrections, _ = solver._step(f, state, settings)
         except IterateCollision:
             status = SolveStatus.iterate_collision
             break

@@ -140,6 +140,15 @@ def test_dump_normalized_round_trip(tmp_path, capsys):
     assert main(["run", str(floated), "--dump-normalized"]) == 0
     assert capsys.readouterr().out == first
 
+    # so do integral float multiplicities, as solve takes them
+    roots = [dict(r, multiplicity=2.0)
+             for r in REFERENCE_PROBLEM["polynomial"]["roots"]]
+    floated = _write_problem(tmp_path, dict(
+        REFERENCE_PROBLEM, multiplicities=[2.0, 2.0],
+        polynomial={"roots": roots}), "floated-multiplicities.json")
+    assert main(["run", str(floated), "--dump-normalized"]) == 0
+    assert capsys.readouterr().out == first
+
 
 def test_compare_merges_methods_and_reports_agreement(tmp_path):
     problem = _write_problem(tmp_path, REFERENCE_PROBLEM)
@@ -241,6 +250,10 @@ def test_rejection_messages_name_the_field(tmp_path, capsys):
     cases = [
         ("multiplicities", dict(REFERENCE_PROBLEM, multiplicities=[2, 0])),
         ("multiplicities", dict(REFERENCE_PROBLEM, multiplicities=[2, 2, 2])),
+        ("multiplicities", dict(REFERENCE_PROBLEM, multiplicities=[True, 2])),
+        ("multiplicities", dict(REFERENCE_PROBLEM, multiplicities=["2", 2])),
+        ("multiplicities", dict(REFERENCE_PROBLEM,
+                                multiplicities=[2.5, 1.5])),
         ("methods", dict(REFERENCE_PROBLEM, methods=["method3", "newton"])),
         ("methods", dict(REFERENCE_PROBLEM, methods=["ehrlich", "method3"])),
         ("settings", dict(REFERENCE_PROBLEM, settings={"tol": 1e-9})),

@@ -6,7 +6,7 @@ or anywhere in [-1e300, 1e300], where products with the basis values
 leave the float range, and starts anywhere in [-1e308, 1e308]:
 - solve returns a report or raises one of its input errors
   (DimensionMismatch, InvalidConfiguration);
-- single_correction, called alone, and the sweep's _compute_corrections
+- single_correction, called alone, and the corrections of the sweep _step
   agree bitwise on every drawn snapshot, or raise the same exception;
 - solve, which replays the sweeps after a repeated snapshot, gives the
   report of the loop that computes every sweep, bit for bit, or raises the
@@ -32,7 +32,7 @@ from simroots import (
 )
 from simroots.basis import (BasisSystem, constant, cosine, exponential,
                             inverse_quadratic, power, sine)
-from simroots.solver import METHODS, _compute_corrections
+from simroots.solver import METHODS, _step
 
 from reference_loop import reference_solve, report_bytes
 
@@ -112,7 +112,7 @@ def test_standalone_and_swept_corrections_agree(problem):
             lambda: single_correction(f, state, i, solver_settings)))
         if isinstance(standalone[-1], type):
             break
-    swept = _outcome(lambda: _compute_corrections(f, state, solver_settings))
+    swept = _outcome(lambda: _step(f, state, solver_settings)[1])
     if isinstance(swept, type):
         # the sweep raises what the first failing root raises alone
         assert standalone[-1] is swept

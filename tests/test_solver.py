@@ -10,6 +10,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +42,11 @@ from simroots.basis import (BasisSystem, constant, cosine, exponential,
                             expression, power, sine)
 from simroots.confluent import (_node_block, node_null_vector, node_rows,
                                 positive_integers)
-from simroots.solver import METHODS, _compute_corrections, _step
+from simroots.solver import METHODS, _step
 
 from reference_loop import reference_solve, report_bytes
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 REFERENCE_ROOTS = RootConfiguration(((-0.5, 2), (3.0, 2)))
 REFERENCE_INITIAL = (-0.4, 2.8)
@@ -235,7 +238,7 @@ def test_q_sums_of_every_root_match_the_per_root_sums(reference_problem,
              _monomial_snapshot((3, 3, 2, 2, 2))]
     settings = SolverSettings(method=method)
     for f, state in cases:
-        _, _, q_sums, _ = solver._snapshot(f, state, settings)
+        _, _, q_sums, _, _ = solver._snapshot(f, state, settings)
         mult = state.multiplicities
         c, _ = node_null_vector(node_rows(
             f.basis.tensor(state.approximations, int(mult.max()) - 1), mult))
@@ -542,8 +545,8 @@ def test_sweeps_after_a_repeat_are_not_computed(name, sweeps, sums,
     calls = Counter()
     monkeypatch.setattr(solver, "_step",
                         _counting(calls, "step", solver._step))
-    monkeypatch.setattr(solver, "_swept_residual_sums", _counting(
-        calls, "sums", solver._swept_residual_sums))
+    monkeypatch.setattr(solver, "_residual_sums", _counting(
+        calls, "sums", solver._residual_sums))
     monkeypatch.setattr(BasisSystem, "tensor",
                         _counting(calls, "tensor", BasisSystem.tensor))
     report = solve(f, initial, multiplicities, SolverSettings(method=method))
@@ -667,7 +670,7 @@ def test_shared_null_vector_gives_the_same_bits(reference_problem, method):
         alone = np.array([single_correction(f, state, i, settings)
                           for i in range(len(state.approximations))])
         assert np.all(alone != 0.0)
-        assert np.array_equal(alone, _compute_corrections(f, state, settings))
+        assert np.array_equal(alone, _step(f, state, settings)[1])
         assert np.array_equal(alone, parallel_corrections(f, state, settings))
 
 
@@ -689,7 +692,7 @@ def test_shared_rows_give_the_same_corrections(method):
         alone = np.array([single_correction(f, state, i, settings)
                           for i in range(len(multiplicities))])
         assert np.all(alone != 0.0)
-        assert np.array_equal(alone, _compute_corrections(f, state, settings))
+        assert np.array_equal(alone, _step(f, state, settings)[1])
         assert np.array_equal(alone, parallel_corrections(f, state, settings))
 
 
@@ -757,12 +760,26 @@ def _expression_reference_problem():
     return from_roots(system, REFERENCE_ROOTS)
 
 
+# what each method's residual checks read over the cases below: the pair
+# of sums of the last computed sweep's snapshot, the node rows of its
+# tensor, or a fresh tensor, given no snapshot at those bytes ("fresh") or
+# one whose tensor stops below order alpha_i - 1 ("short", mixed ehrlich)
+RESIDUAL_READS = {
+    "method3": {"pair", "tensor", "fresh"},
+    "method13": {"pair", "tensor", "fresh"},
+    "ehrlich": {"pair", "short", "fresh"},
+}
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_residuals_read_from_the_last_sweep_match_a_fresh_check(
         method, reference_problem, monkeypatch):
-    # every residual check at the bytes of the last computed sweep's
-    # snapshot reads that snapshot; each must equal a fresh _residual_sums,
-    # and the report the computed loop's, which only sums afresh
+    # a residual check at the bytes of the last computed sweep's snapshot
+    # reads that snapshot: its pair of sums when the plan is paired, else
+    # its tensor's node rows when that reaches order alpha_i - 1; any other
+    # check builds a fresh tensor.  Each must equal a fresh _residual_sums,
+    # value for value and scale for scale, and the report the computed
+    # loop's, which only sums afresh
     _, reference = reference_problem
     simple, simple_state = _monomial_snapshot((1,) * 14)
     mixed, mixed_state = _monomial_snapshot((3, 3, 2, 2, 2))
@@ -773,30 +790,125 @@ def test_residuals_read_from_the_last_sweep_match_a_fresh_check(
         cases += [(reference, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES),
                   (_expression_reference_problem(), REFERENCE_INITIAL,
                    REFERENCE_MULTIPLICITIES)]
-    checks = Counter()
-    swept = solver._swept_residual_sums
+    reads = Counter()
+    fresh = solver._residual_sums
 
-    def checked(f, approximations, multiplicities, plan, kept):
-        sums = swept(f, approximations, multiplicities, plan, kept)
-        assert sums == solver._residual_sums(f, approximations, multiplicities)
-        checks[kept[0] == approximations.tobytes()] += 1
+    def checked(f, approximations, multiplicities, plan=None, snapshot=None):
+        sums = fresh(f, approximations, multiplicities, plan, snapshot)
+        assert sums == fresh(f, approximations, multiplicities)
+        if snapshot is None:
+            reads["fresh"] += 1
+        elif plan.paired:
+            reads["pair"] += 1
+        elif snapshot[-1].shape[1] >= max(multiplicities):
+            reads["tensor"] += 1
+        else:
+            reads["short"] += 1
         return sums
 
-    monkeypatch.setattr(solver, "_swept_residual_sums", checked)
+    monkeypatch.setattr(solver, "_residual_sums", checked)
     settings = SolverSettings(method=method)
-    for f, initial, multiplicities in cases:
+    # the fixed mixed problem cycles at its roots until method3 and
+    # ehrlich run out the budget, and its final state has the bytes of the
+    # last computed sweep's snapshot; its residuals pass without a
+    # converged status
+    cycle = _mixed_problem()
+    for f, initial, multiplicities in cases + [cycle]:
         report = solve(f, initial, multiplicities, settings)
         assert report_bytes(report) == report_bytes(
             reference_solve(f, initial, multiplicities, settings))
         final = report.history[-1].approximations
-        sums = solver._residual_sums(f, final, report.history[0].multiplicities)
+        sums = fresh(f, final, report.history[0].multiplicities)
         assert report.final_residuals == solver._final_residuals(
             sums, multiplicities)
-        assert (report.status is SolveStatus.converged) \
-            == solver._residuals_validate(sums)
-    # both kinds occur: a last sweep that held every root, and one that
-    # moved one (the simple and mixed starts)
-    assert checks[True] and checks[False]
+        if f is not cycle[0]:
+            assert (report.status is SolveStatus.converged) \
+                == solver._residuals_validate(sums)
+    assert set(reads) == RESIDUAL_READS[method], reads
+
+
+def _bits(entry):
+    """A snapshot entry in a form that compares bit for bit: an array as
+    its shape and bytes, anything else by repr, which tells -0.0 from 0.0
+    and spells each float exactly."""
+    if isinstance(entry, np.ndarray):
+        return entry.shape, entry.dtype, entry.tobytes()
+    return repr(entry)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_sweep_returns_the_snapshot_it_read(method, reference_problem):
+    _, reference = reference_problem
+    cases = [_monomial_snapshot((1,) * 14), _monomial_snapshot((3, 3, 2, 2, 2))]
+    if method != "ehrlich":  # ehrlich needs the monomial basis
+        cases.append((reference, IterationState(
+            np.array(REFERENCE_INITIAL), np.array(REFERENCE_MULTIPLICITIES))))
+    settings = SolverSettings(method=method)
+    for f, state in cases:
+        _, corrections, snapshot = _step(f, state, settings)
+        expected = solver._snapshot(f, state, settings)
+        assert len(snapshot) == len(expected) == 5
+        assert list(map(_bits, snapshot)) == list(map(_bits, expected))
+        assert np.array_equal(corrections, [
+            single_correction(f, state, i, settings, expected)
+            for i in range(len(state.approximations))])
+
+
+def _fresh_residual_evaluations(f, report, swept, settings):
+    """How many residual evaluations of a solve cannot read the snapshot
+    of the last sweep computed before them, found from its report; swept
+    holds the approximation bytes of every computed sweep in order.  A
+    convergence check follows each computed sweep whose corrections all
+    fall below the tolerance and whose result stays in the basis domain;
+    the final residuals follow unless the last check had the final bytes.
+    An evaluation cannot read the snapshot at other bytes, or where the
+    snapshot's tensor stops below order alpha_i - 1 (ehrlich's stops at
+    order 1)."""
+    reaches = settings.method != "ehrlich" \
+        or report.history[0].multiplicities.max() <= 2
+    evaluations = [
+        (state.approximations.tobytes(), before)
+        for state, before in zip(report.history[1:], swept)
+        if float(np.max(np.abs(state.last_corrections))) < settings.tolerance
+        and all(map(f.basis.contains, state.approximations.tolist()))]
+    final = report.history[-1].approximations.tobytes()
+    if not evaluations or evaluations[-1][0] != final:
+        evaluations.append((final, swept[-1] if swept else None))
+    return sum(at != before or not reaches for at, before in evaluations)
+
+
+@pytest.mark.parametrize("name", ["monomial_det", "monomial_ehrlich"])
+def test_seeded_solves_build_a_tensor_per_sweep_and_per_fresh_check(
+        name, monkeypatch, tmp_path):
+    # every seed-1 solve entry of the benchmark workload: one tensor per
+    # computed sweep, and one per residual evaluation that cannot read the
+    # last computed sweep's snapshot
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    workload = workloads.generate(name, 1, tmp_path)
+    swept, calls = [], Counter()
+    step = solver._step
+
+    def recording(f, state, *args, **kwargs):
+        result = step(f, state, *args, **kwargs)
+        swept.append(state.approximations.tobytes())
+        return result
+
+    monkeypatch.setattr(solver, "_step", recording)
+    monkeypatch.setattr(BasisSystem, "tensor",
+                        _counting(calls, "tensor", BasisSystem.tensor))
+    fresh = 0
+    for slice_, problem in workload.sequence:
+        swept.clear()
+        calls.clear()
+        report = solve(problem.f, problem.initial, problem.multiplicities,
+                       slice_.settings)
+        expected = _fresh_residual_evaluations(problem.f, report, swept,
+                                               slice_.settings)
+        assert calls["tensor"] == len(swept) + expected, slice_.name
+        fresh += expected
+    # some checks read the snapshot and some do not
+    assert 0 < fresh < len(workload.sequence)
 
 
 def test_only_the_root_that_escapes_loses_its_residuals():
@@ -912,7 +1024,7 @@ def _raised_by_every_entry_point(f, state, settings, roots=None):
     standalone = {raised(lambda: single_correction(f, state, i, settings))
                   for i in roots}
     return standalone | {
-        raised(lambda: _compute_corrections(f, state, settings)),
+        raised(lambda: _step(f, state, settings)[1]),
         raised(lambda: parallel_corrections(f, state, settings)),
     }
 
@@ -964,7 +1076,7 @@ def test_a_held_root_does_not_read_its_infinite_q_in_any_entry_point():
         assert solver._snapshot(f, state, settings)[2][0][0] is None
         alone = [single_correction(f, state, i, settings) for i in range(2)]
         assert alone[0] == 0.0 and math.isfinite(alone[1]) and alone[1] != 0.0
-        assert np.array_equal(alone, _compute_corrections(f, state, settings))
+        assert np.array_equal(alone, _step(f, state, settings)[1])
         assert np.array_equal(alone, parallel_corrections(f, state, settings))
 
 
