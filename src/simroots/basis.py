@@ -459,7 +459,8 @@ class BasisSystem:
         outside the domain, OrderExceedsCap when top exceeds the system's
         cap, and OverflowError where a power or a member's formula leaves
         the float range, point by point: x's highest power, then its
-        other members.
+        other members.  A system of powers only checks the highest power
+        of the largest |x| alone, which overflows if any point's does.
         """
         points = np.asarray(xs, dtype=float)
         xs = points.tolist()
@@ -470,17 +471,19 @@ class BasisSystem:
             )
         index, factor = _gather(self._exponents, self._table_size, top)
         table = self._table_size
-        others = []
-        for x in xs:
-            x ** (table - 1)  # raises if a power of x overflows
-            point = []
-            for b in self._others:
-                point += _column(b, x, top)
-            others.append(point)
         values = np.empty((len(xs), table + len(self._others) * (top + 1)))
-        np.float_power(points[:, None], self._orders, out=values[:, :table])
         if self._others:
+            others = []
+            for x in xs:
+                x ** (table - 1)  # raises if a power of x overflows
+                point = []
+                for b in self._others:
+                    point += _column(b, x, top)
+                others.append(point)
             values[:, table:] = others
+        else:  # |x| ** k grows with |x|: the largest overflows if any does
+            max(map(abs, xs), default=0.0) ** (table - 1)
+        np.float_power(points[:, None], self._orders, out=values[:, :table])
         with np.errstate(over="ignore"):  # inf, as int * float gives it
             return factor * values.take(index, axis=1)
 

@@ -66,15 +66,23 @@ def _term_sums(rows, weights):
     in C order whatever the layout of rows, because numpy sums a row in an
     order that depends on it, so that equal rows get equal scales.  None
     where the scale is not finite (a term is not, or the sum overflows) or
-    the fsum overflows."""
+    the fsum overflows.  The scales are not negative, so their sum is
+    finite only when each of them is: then every row is summed at once,
+    and the rows are checked one by one only otherwise."""
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are None
         products = np.multiply(rows, weights, order="C").reshape(
             -1, len(weights))
         scales = np.abs(products).sum(axis=1).tolist()
-    sums = []
-    for terms, scale in zip(products.tolist(), scales):
+    terms = products.tolist()
+    if math.isfinite(sum(scales)):
         try:
-            sums.append((math.fsum(terms), scale)
+            return list(zip(map(math.fsum, terms), scales))
+        except OverflowError:
+            pass
+    sums = []
+    for row, scale in zip(terms, scales):
+        try:
+            sums.append((math.fsum(row), scale)
                         if math.isfinite(scale) else None)
         except OverflowError:
             sums.append(None)

@@ -200,10 +200,12 @@ def is_monomial_basis(basis):
 def _pairwise_sums(xs, mult):
     """sum over j != i of mult_j / (xs_i - xs_j) for every i, xs distinct;
     each an exactly rounded math.fsum, so the order of terms is moot."""
-    with np.errstate(over="ignore"):  # an inf gap adds a zero quotient
-        quotients = mult / (xs[:, None] - xs + np.eye(len(xs)))
+    with np.errstate(over="ignore"):  # an inf gap gives a zero quotient
+        gaps = xs[:, None] - xs
+        np.fill_diagonal(gaps, 1.0)
+        quotients = mult / gaps
     np.fill_diagonal(quotients, 0.0)
-    return [math.fsum(row) for row in quotients.tolist()]
+    return list(map(math.fsum, quotients.tolist()))
 
 
 def _q_sums(probes, c):
@@ -257,10 +259,10 @@ def _plan(f, mult, settings):
     nonzero coefficients' entries in the rows of orders p_i and p_i + 1
     of root i (read); the rows of the node block (node) and the rows of
     orders alpha_i, alpha_i + 1 of root i (probe), numbered as in the
-    tensor's (m (top + 1), n + 1) reshape, which ehrlich does not read;
-    the nonzero coefficients; and whether the rows p_i, p_i + 1 of every
-    root start with all its node rows, that is p_i = 0 and alpha_i <= 2
-    (paired)."""
+    tensor's (m (top + 1), n + 1) reshape, both None for ehrlich, which
+    does not read them; the nonzero coefficients; and whether the rows
+    p_i, p_i + 1 of every root start with all its node rows, that is
+    p_i = 0 and alpha_i <= 2 (paired)."""
     top = _check_inputs(f, mult, settings)
     columns = np.flatnonzero(f.coefficients)
     first = np.arange(len(mult)) * (top + 1)  # root i's row of order 0
@@ -268,9 +270,12 @@ def _plan(f, mult, settings):
     method13 = settings.method == "method13"
     p = first + (mult - 1 if method13 else 0)
     step_rows = (p[:, None] + (0, 1)).reshape(-1, 1)
-    return _Plan(top, step_rows * len(f.basis) + columns,
-                 np.flatnonzero(np.arange(top + 1) < mult[:, None]),
-                 (first + mult)[:, None] + (0, 1), f.coefficients[columns],
+    node = probe = None
+    if settings.method != "ehrlich":
+        node = np.flatnonzero(np.arange(top + 1) < mult[:, None])
+        probe = (first + mult)[:, None] + (0, 1)
+    return _Plan(top, step_rows * len(f.basis) + columns, node, probe,
+                 f.coefficients[columns],
                  max(mult.tolist()) <= (1 if method13 else 2))
 
 
@@ -303,20 +308,23 @@ def single_correction(f, state, i, settings, snapshot=None):
     any order or concurrently and produce identical values.  Each guard
     reads only its own entry of the snapshot, in this order: f^(p), the
     noise-floor hold, the rank guard, Q and its cancellation guard, Q',
+    f^(p+1) and the denominator guard; for ehrlich f^(p), the hold,
     f^(p+1) and the denominator guard.
     """
     sums, rank_ratio, q_sums, shifts, _ = snapshot or _snapshot(
         f, state, settings)
-    alpha = int(state.multiplicities[i])
-    method = settings.method
     at_p, at_next = sums[i]
-    fp, magnitude = checked_sums(at_p)
+    # an entry is a (value, scale) tuple, so only None reaches checked_sums
+    fp, magnitude = at_p or checked_sums(at_p)
     if abs(fp) <= NOISE_FLOOR_FACTOR * EPS * magnitude:
         # a root hit, or a residual of pure rounding noise: hold position
         return 0.0
+    alpha = int(state.multiplicities[i])
+    method = settings.method
     if method == "ehrlich":
-        return _guarded_quotient(float(alpha), checked_sums(at_next)[0] / fp,
-                                 shifts[i], "ehrlich")
+        return _guarded_quotient(
+            float(alpha), (at_next or checked_sums(at_next))[0] / fp,
+            shifts[i], "ehrlich")
     if rank_ratio <= DENOMINATOR_FLOOR:
         raise DegenerateDenominator(
             "node block singular value ratio %.3e is at most %g"
@@ -336,7 +344,7 @@ def single_correction(f, state, i, settings, snapshot=None):
         numerator, factor = alpha * fp, alpha + 1.0
     else:
         numerator, factor = fp, 2.0
-    return _guarded_quotient(numerator, checked_sums(at_next)[0],
+    return _guarded_quotient(numerator, (at_next or checked_sums(at_next))[0],
                              fp * (at_qp[0] / (factor * q)), method)
 
 
@@ -413,6 +421,8 @@ def _residual_sums(f, approximations, multiplicities, plan=None,
                 return [None]
             return [_residual_sums(f, [x], [alpha])[0]
                     for x, alpha in zip(approximations, multiplicities)]
+    if top == 0:  # every root is simple: its one node row is of order 0
+        return [None if s is None else [s] for s in f.row_sums(tensor[:, 0])]
     return _by_root(f.row_sums(node_rows(tensor, multiplicities)),
                     multiplicities)
 
@@ -522,7 +532,7 @@ def solve(f, initial, multiplicities, settings=None):
         if not all(map(f.basis.contains, new.tolist())):
             status = SolveStatus.domain_escape
             break
-        if float(np.max(np.abs(corrections))) < settings.tolerance:
+        if np.abs(corrections).max() < settings.tolerance:
             summed = new.tobytes()
             sums = _residual_sums(f, new, mult, plan,
                                   snapshot if summed == swept else None)

@@ -305,6 +305,39 @@ def test_tensor_raises_in_the_order_of_the_per_point_loop():
         system.tensor([1e3, 0.0], 2)
 
 
+def test_a_power_only_tensor_overflows_where_the_per_point_loop_did():
+    # a system of powers checks only its largest |x|: x ** 5 overflows
+    # exactly where |x| ** 5 does, for a negative x to -inf, and the
+    # largest |x| may sit at any position
+    system = BasisSystem((constant(),) + tuple(power(s) for s in range(1, 6)))
+
+    def per_point(xs):
+        """The message of the first x ** 5 that raises, or None."""
+        try:
+            for x in xs:
+                x ** 5
+        except OverflowError as exc:
+            return str(exc)
+        return None
+
+    cases = [[-1e62, 0.5], [0.5, -1e62], [1e61, 2.0, -1e62], [1e62, -1e61],
+             [-1e61, 1e61, 0.5], [-3.0, 0.0, 2.0], []]
+    for xs in cases:
+        expected = per_point(xs)
+        if expected is None:
+            assert np.array_equal(system.tensor(xs, 2),
+                                  _scalar_tensor(system, xs, 2)), xs
+            continue
+        with pytest.raises(OverflowError) as info:
+            system.tensor(xs, 2)
+        assert str(info.value) == expected, xs
+    assert [per_point(xs) is None for xs in cases] == [False] * 4 + [True] * 3
+    # the domain check still comes first
+    bounded = BasisSystem(system.functions, domain=(-1e300, 1.0))
+    with pytest.raises(DomainError):
+        bounded.tensor([-1e62, 2.0], 2)
+
+
 @pytest.mark.parametrize("bad", [
     "2*+3",
     "x^1.5",

@@ -1,6 +1,7 @@
 """Generalized polynomial evaluation and root-driven construction."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +111,32 @@ def test_term_sums_are_none_where_the_per_row_sums_are():
         == [_per_row_sums([1e308, 1e308])]
     assert _term_sums(np.array([[1e200, 1.0]]), np.array([1e200, 1.0])) \
         == [None]
+
+
+def test_term_sums_check_row_by_row_where_a_stack_cannot_be_summed_at_once():
+    # each stack equals the per-row sums row for row, in either layout:
+    # all its terms are powers of two, so every order of the plain sums
+    # gives the exact scale
+    big, huge = 2.0 ** 1022, sys.float_info.max
+    stacks = [
+        # each scale 1.5 * 2**1023 is finite, but their sum is not
+        np.array([[2 * big, -big], [-2 * big, big], [1.0, 0.5]]),
+        # one row that is None among finite rows
+        np.array([[1.0, 2.0, 3.0], [math.inf, 1.0, 1.0], [4.0, -5.0, 6.0]]),
+        # a finite scale, as each addition rounds down to huge, whose
+        # exact sum overflows: the fsum raises
+        np.array([[huge] + [2.0 ** 969] * 3, [1.0, -2.0, 4.0, 8.0]]),
+    ]
+    for rows in stacks:
+        want = [_per_row_sums(row) for row in rows.tolist()]
+        weights = np.ones(rows.shape[1])
+        assert _term_sums(rows, weights) == want
+        assert _term_sums(np.asfortranarray(rows), weights) == want
+        assert _term_sums(rows[::-1], weights) == want[::-1]
+    assert [None in [_per_row_sums(row) for row in rows.tolist()]
+            for rows in stacks] == [False, True, True]
+    assert math.isinf(sum(np.abs(stacks[0]).sum(axis=1).tolist()))
+    assert np.abs(stacks[2]).sum(axis=1)[0] == huge
 
 
 def test_from_roots_monomial_double_pair():

@@ -923,6 +923,48 @@ def test_only_the_root_that_escapes_loses_its_residuals():
         assert sums == [alone[0], None, alone[2]]
 
 
+def test_simple_roots_read_their_residuals_from_row_zero():
+    # the node_rows path the row-0 read replaces, kept as the reference
+    def by_node_rows(f, xs, mult):
+        tensor = f.basis.tensor(xs, int(max(mult)) - 1)
+        return solver._by_root(f.row_sums(node_rows(tensor, mult)), mult)
+
+    f, state = _monomial_snapshot((1,) * 10)
+    xs, mult = state.approximations, state.multiplicities
+    assert solver._residual_sums(f, xs, mult) == by_node_rows(f, xs, mult)
+    # a root escapes where its sums leave the float range (100^10 times
+    # 1e300), or where its powers do (1e100^10) and the tensor raises:
+    # only that root gets None
+    huge = GeneralizedPolynomial(f.basis, f.coefficients * 1e300)
+    for g, escaped in ((huge, 100.0), (f, 1e100)):
+        ys = xs.copy()
+        ys[3] = escaped
+        want = by_node_rows(g, np.delete(ys, 3), np.delete(mult, 3))
+        want.insert(3, None)
+        assert solver._residual_sums(g, ys, mult) == want
+    assert None not in solver._residual_sums(huge, xs, mult)
+
+
+def test_an_ehrlich_plan_indexes_no_node_block():
+    f, state = _monomial_snapshot((1,) * 6)
+    for method in METHODS:
+        plan = solver._plan(f, state.multiplicities,
+                            SolverSettings(method=method))
+        unread = method == "ehrlich"
+        assert (plan.node is None) is unread, method
+        assert (plan.probe is None) is unread, method
+
+
+@pytest.mark.parametrize("multiplicities", [(1,) * 10, (3, 3, 2, 2, 2)])
+def test_ehrlich_solves_match_the_computed_loop(multiplicities):
+    f, state = _monomial_snapshot(multiplicities)
+    settings = SolverSettings(method="ehrlich")
+    for initial in (state.approximations, 0.9 * state.approximations):
+        expected = reference_solve(f, initial, multiplicities, settings)
+        report = solve(f, initial, multiplicities, settings)
+        assert report_bytes(report) == report_bytes(expected)
+
+
 def test_a_held_root_does_not_read_its_next_row():
     # f = a0 + a1 exp(r x) cancels exactly at x, where f' = a1 r exp(r x)
     # overflows: the hold returns before that row is read
@@ -1097,6 +1139,68 @@ def test_a_cancelled_q_is_reported_before_a_later_infinite_q():
             == {DegenerateDenominator}, method
         report = solve(f, state.approximations, (1, 1), settings)
         assert report.status is SolveStatus.degenerate_denominator
+
+
+# Hand-built snapshot entries for one root at 0.25 with multiplicity 1:
+# a (value, scale) pair that passes every guard, and one the hold zeroes
+_OK, _HELD = (1.0, 1.0), (0.0, 1.0)
+_F = (OverflowError, "a term of f at a basis row is not finite")
+_RANK = (DegenerateDenominator,
+         "node block singular value ratio 0.000e+00 is at most 1e-14")
+_Q = (OverflowError, "a term of Q_0(0.25) is not finite")
+_Q_CANCELLED = (DegenerateDenominator, "Q_0(0.25) = 0.000e+00 is negligible"
+                " against its term scale 1.000e+00")
+_Q_PRIME = (OverflowError, "a term of Q'_0(0.25) is not finite")
+_DENOMINATOR = (DegenerateDenominator, "{method} denominator 0.000e+00 is"
+                " below 1e-14 of its term scale 2.000e+00")
+
+# ((f^(p), f^(p+1)), rank ratio, (Q, Q'), ehrlich shift, outcome for
+# method3 and method13, outcome for ehrlich).  Every row but the last
+# fails two or more guards, and the outcome, the correction 0.0 or an
+# exception type and message, is the first failing guard's in the order
+# method3/method13: f^(p), hold, rank, Q, Q cancellation, Q', f^(p+1),
+# denominator; ehrlich: f^(p), hold, f^(p+1), denominator
+GUARD_ORDER = [
+    ((None, None), 0.0, (None, None), 1.0, _F, _F),
+    ((_HELD, None), 0.0, (None, None), 1.0, 0.0, 0.0),
+    ((_OK, None), 0.0, (None, None), 1.0, _RANK, _F),
+    ((_OK, None), 1.0, (None, None), 1.0, _Q, _F),
+    ((_OK, None), 1.0, ((0.0, 1.0), None), 1.0, _Q_CANCELLED, _F),
+    ((_OK, None), 1.0, (_OK, None), 1.0, _Q_PRIME, _F),
+    ((_OK, None), 1.0, (_OK, _OK), 1.0, _F, _F),
+    # f = f' = Q = 1 and Q' = 2: every method's denominator is 1 - 1
+    ((_OK, _OK), 1.0, (_OK, (2.0, 2.0)), 1.0, _DENOMINATOR, _DENOMINATOR),
+]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("row", range(len(GUARD_ORDER)))
+def test_the_first_failing_guard_decides_in_every_entry_point(method, row,
+                                                              monkeypatch):
+    pair, rank_ratio, q_pair, shift, outcome, ehrlich = GUARD_ORDER[row]
+    if method == "ehrlich":
+        outcome = ehrlich
+    snapshot = ([pair], rank_ratio, [q_pair], [shift], None)
+    f = from_roots(_monomials(2), RootConfiguration(((0.5, 1),)))
+    state = IterationState(np.array([0.25]), np.array([1]))
+    settings = SolverSettings(method=method)
+    # the sweeps read the same hand-built snapshot
+    monkeypatch.setattr(solver, "_snapshot", lambda *args: snapshot)
+    calls = {
+        "single_correction": lambda: single_correction(f, state, 0, settings,
+                                                       snapshot),
+        "_step": lambda: _step(f, state, settings)[1][0],
+        "parallel_corrections": lambda: parallel_corrections(
+            f, state, settings)[0],
+    }
+    for name, call in calls.items():
+        if isinstance(outcome, float):
+            assert call() == outcome, name
+            continue
+        kind, message = outcome
+        with pytest.raises(kind) as info:
+            call()
+        assert str(info.value) == message.format(method=method), name
 
 
 def test_sine_and_cosine_of_an_overflowed_argument_land_in_domain_escape():

@@ -15,8 +15,12 @@ change's time over the parent's.
 
 Per slice and over all pairs, it prints each side's median op time, the
 median ratio, the share of pairs the change wins (ratio below 1), and a 95%
-bootstrap interval of the median ratio.  Nothing under either checkout is
-written, and no bytecode is cached.
+bootstrap interval of the median ratio.  A header above the table gives the
+run context: the machine (nproc, CPU, Python and numpy versions) and, per
+side, the checkout's root, its git commit ("none" outside a git checkout of
+its own, "+modified" when `src/` differs from the commit) and the line count
+of its `src/`.  Nothing under either checkout is written, and no bytecode is
+cached.
 """
 
 import argparse
@@ -24,8 +28,10 @@ import contextlib
 import importlib
 import importlib.util
 import os
+import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -37,6 +43,46 @@ WORKLOADS = ("reference_cli", "monomial_det", "monomial_ehrlich",
              "expression_jets")
 SIDES = ("parent", "change")
 RESAMPLES = 2000
+
+
+def machine():
+    """nproc, CPU model, Python and numpy versions, as one header line."""
+    cpu = platform.processor() or "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return "machine: nproc=%s cpu=%s python=%s numpy=%s" % (
+        os.cpu_count(), cpu, platform.python_version(), np.__version__)
+
+
+def checkout(root):
+    """(commit, src lines) of the checkout at root: the git commit, or
+    "none" unless root is the top of a git work tree, with "+modified" when
+    src/ differs from it; and the lines of the .py files under src/."""
+    root = Path(root).resolve()
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in sorted((root / "src").rglob("*.py")))
+
+    def git(*args):
+        return subprocess.run(("git", "-C", str(root)) + args,
+                              capture_output=True, text=True)
+
+    commit = "none"
+    try:
+        found = git("rev-parse", "--show-toplevel", "HEAD")
+        if found.returncode == 0:
+            top, head = found.stdout.splitlines()
+            if Path(top).resolve() == root:
+                commit = head
+                if git("diff", "--quiet", "HEAD", "--", "src").returncode:
+                    commit += "+modified"
+    except OSError:  # no git
+        pass
+    return commit, lines
 
 
 def load_package(root, name):
@@ -171,6 +217,10 @@ def main(argv=None, clock=time.perf_counter):
             workload.close()
     print("abtest: workload=%s seed=%d rounds=%d; ratio = change / parent"
           % (args.workload, args.seed, args.rounds))
+    print(machine())
+    for side, root in zip(SIDES, roots):
+        print("%s: root=%s commit=%s src_lines=%d"
+              % ((side, root) + checkout(root)))
     for line in report(pairs, args.seed):
         print(line)
     return 0
