@@ -421,8 +421,6 @@ def _residual_sums(f, approximations, multiplicities, plan=None,
                 return [None]
             return [_residual_sums(f, [x], [alpha])[0]
                     for x, alpha in zip(approximations, multiplicities)]
-    if top == 0:  # every root is simple: its one node row is of order 0
-        return [None if s is None else [s] for s in f.row_sums(tensor[:, 0])]
     return _by_root(f.row_sums(node_rows(tensor, multiplicities)),
                     multiplicities)
 

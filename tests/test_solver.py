@@ -923,28 +923,6 @@ def test_only_the_root_that_escapes_loses_its_residuals():
         assert sums == [alone[0], None, alone[2]]
 
 
-def test_simple_roots_read_their_residuals_from_row_zero():
-    # the node_rows path the row-0 read replaces, kept as the reference
-    def by_node_rows(f, xs, mult):
-        tensor = f.basis.tensor(xs, int(max(mult)) - 1)
-        return solver._by_root(f.row_sums(node_rows(tensor, mult)), mult)
-
-    f, state = _monomial_snapshot((1,) * 10)
-    xs, mult = state.approximations, state.multiplicities
-    assert solver._residual_sums(f, xs, mult) == by_node_rows(f, xs, mult)
-    # a root escapes where its sums leave the float range (100^10 times
-    # 1e300), or where its powers do (1e100^10) and the tensor raises:
-    # only that root gets None
-    huge = GeneralizedPolynomial(f.basis, f.coefficients * 1e300)
-    for g, escaped in ((huge, 100.0), (f, 1e100)):
-        ys = xs.copy()
-        ys[3] = escaped
-        want = by_node_rows(g, np.delete(ys, 3), np.delete(mult, 3))
-        want.insert(3, None)
-        assert solver._residual_sums(g, ys, mult) == want
-    assert None not in solver._residual_sums(huge, xs, mult)
-
-
 def test_an_ehrlich_plan_indexes_no_node_block():
     f, state = _monomial_snapshot((1,) * 6)
     for method in METHODS:
