@@ -40,9 +40,9 @@ So a sweep and the checks on its result are pure functions of the
 approximations, and solve replays the sweeps after an accepted state
 repeats the bytes of an earlier one instead of recomputing them.  For the
 same reason a sweep (_step) returns the snapshot it read, tensor
-included, and a residual check at the bytes of that snapshot, as after a
-sweep that held every root, reads its row sums or its tensor instead of
-evaluating the basis again (_residual_sums).
+included, and _final_state, the one reader of a solve's end state, reads
+the residuals at the bytes of that snapshot, as after a sweep that held
+every root, from its row sums or its tensor, not from the basis again.
 """
 
 import math
@@ -233,20 +233,22 @@ def _check_inputs(f, multiplicities, settings):
     """DimensionMismatch unless the multiplicities sum to the basis degree;
     InvalidConfiguration for ehrlich off the monomial basis, or when the
     method needs derivatives above the basis cap.  Returns the highest
-    order the method reads."""
+    order the method's sweeps read."""
     if int(multiplicities.sum()) != len(f.basis) - 1:
         raise DimensionMismatch(
             "multiplicities sum to %d but the basis supports degree %d"
             % (int(multiplicities.sum()), len(f.basis) - 1))
     if settings.method == "ehrlich" and not is_monomial_basis(f.basis):
         raise InvalidConfiguration("ehrlich needs the monomial basis")
-    # method3 and method13 read the probe row of order alpha + 1
-    order = 1 if settings.method == "ehrlich" else int(
-        multiplicities.max(initial=1)) + 1
-    if order > f.basis.derivative_cap:
+    # method3 and method13 read the probe row of order alpha + 1; ehrlich's
+    # sweeps read order 1, and the residuals of every method alpha - 1
+    alpha = int(multiplicities.max(initial=1))
+    order = 1 if settings.method == "ehrlich" else alpha + 1
+    needed = max(order, alpha - 1)
+    if needed > f.basis.derivative_cap:
         raise InvalidConfiguration(
             "%s needs derivatives of order %d but the basis caps them at %d"
-            % (settings.method, order, f.basis.derivative_cap))
+            % (settings.method, needed, f.basis.derivative_cap))
     return order
 
 
@@ -392,10 +394,12 @@ def _with_method(settings, method):
     return replace(settings or SolverSettings(), method=method)
 
 
-def _residual_sums(f, approximations, multiplicities, plan=None,
-                   snapshot=None):
-    """Per root, (f^(q)(x), its term magnitude) for q < alpha, or None when
-    x has left the basis domain or a value the float range.  Given the
+def _final_state(f, xs, mult, plan=None, snapshot=None):
+    """(residuals, passes) at the approximations xs: |f^(q)(x_i)| for q <
+    alpha_i in root order, inf for every order of a root where a sum is
+    None (x_i left the basis domain or a value the float range), and
+    whether every root's sums are finite and each value is at most
+    RESIDUAL_VALIDATION_FACTOR (1 + its term magnitude).  Given the
     _snapshot a sweep with this plan built at these approximations (the
     same bytes), the sums are read from it: the first alpha_i of root i's
     pair of sums when the plan is paired, else the node rows of its
@@ -404,57 +408,38 @@ def _residual_sums(f, approximations, multiplicities, plan=None,
     (jets are prefix-stable, and each power entry is one libm pow), and
     _term_sums sums each row alike, so both give the bits of a fresh
     tensor.  Otherwise one fresh tensor serves every root; when it raises,
-    each root is evaluated alone, so that only a root that escapes gets
-    None."""
-    top = int(max(multiplicities)) - 1
+    each root is evaluated alone, so that only a root that escapes loses
+    its residuals."""
+    alphas = mult.tolist()
     if snapshot is not None and plan.paired:
-        return _by_root([s for pair, alpha in zip(
-            snapshot[0], multiplicities.tolist()) for s in pair[:alpha]],
-            multiplicities)
-    if snapshot is not None and snapshot[-1].shape[1] > top:
-        tensor = snapshot[-1]
+        sums = [s for pair, alpha in zip(snapshot[0], alphas)
+                for s in pair[:alpha]]
+    elif snapshot is not None and snapshot[-1].shape[1] >= max(alphas):
+        sums = f.row_sums(node_rows(snapshot[-1], mult))
     else:
         try:
-            tensor = f.basis.tensor(approximations, top)
+            sums = f.row_sums(node_rows(f.basis.tensor(xs, max(alphas) - 1),
+                                        mult))
         except (DomainError, OverflowError):
-            if len(approximations) == 1:
-                return [None]
-            return [_residual_sums(f, [x], [alpha])[0]
-                    for x, alpha in zip(approximations, multiplicities)]
-    return _by_root(f.row_sums(node_rows(tensor, multiplicities)),
-                    multiplicities)
-
-
-def _by_root(sums, multiplicities):
-    """The list of sums of the node rows, alpha_i per root i in root order,
-    grouped by root; None for a root where one of them is None."""
-    roots, end = [], 0
-    for alpha in np.asarray(multiplicities).tolist():
+            sums = []
+            for x, alpha in zip(xs, alphas):
+                try:
+                    sums += f.row_sums(f.basis.rows(x, alpha - 1))
+                except (DomainError, OverflowError):
+                    sums += [None] * alpha
+    residuals, passes, end = [], True, 0
+    for alpha in alphas:
         root = sums[end:end + alpha]
         end += alpha
-        roots.append(None if None in root else root)
-    return roots
-
-
-def _residuals_validate(sums):
-    for root in sums:
-        if root is None:
-            return False
+        if None in root:
+            residuals += [math.inf] * alpha
+            passes = False
+            continue
         for value, magnitude in root:
+            residuals.append(abs(value))
             if abs(value) > RESIDUAL_VALIDATION_FACTOR * (1.0 + magnitude):
-                return False
-    return True
-
-
-def _final_residuals(sums, multiplicities):
-    out = []
-    for root, alpha in zip(sums, np.asarray(multiplicities).tolist()):
-        if root is None:
-            out += [math.inf] * alpha
-        else:
-            for value, _ in root:
-                out.append(abs(value))
-    return out
+                passes = False
+    return residuals, passes
 
 
 def _accepted(approximations, multiplicities, k, corrections):
@@ -482,14 +467,14 @@ def solve(f, initial, multiplicities, settings=None):
     final residuals read the snapshot the last computed sweep returned
     when the iterates did not move in that sweep (their bytes are those
     of the snapshot), and build a fresh tensor otherwise, as after a
-    sweep that raised a guard (_residual_sums).
+    sweep that raised a guard (_final_state).
     """
     settings = settings or SolverSettings()
     state = IterationState(initial, multiplicities)
     mult = state.multiplicities
     plan = _plan(f, mult, settings)
     history = [state]
-    status = sums = summed = None
+    status = residuals = summed = None
     seen = {}  # approximations.tobytes() -> k of every accepted state
     swept = snapshot = None  # bytes and snapshot of the last computed sweep
 
@@ -532,9 +517,9 @@ def solve(f, initial, multiplicities, settings=None):
             break
         if np.abs(corrections).max() < settings.tolerance:
             summed = new.tobytes()
-            sums = _residual_sums(f, new, mult, plan,
-                                  snapshot if summed == swept else None)
-            if _residuals_validate(sums):
+            residuals, passes = _final_state(
+                f, new, mult, plan, snapshot if summed == swept else None)
+            if passes:
                 status = SolveStatus.converged
                 break
             # frozen at a point that is not a root of the claimed
@@ -543,6 +528,6 @@ def solve(f, initial, multiplicities, settings=None):
     final = history[-1]
     at = final.approximations.tobytes()
     if summed != at:
-        sums = _residual_sums(f, final.approximations, mult, plan,
-                              snapshot if at == swept else None)
-    return SolveReport(history, status, final.k, _final_residuals(sums, mult))
+        residuals, _ = _final_state(f, final.approximations, mult, plan,
+                                    snapshot if at == swept else None)
+    return SolveReport(history, status, final.k, residuals)

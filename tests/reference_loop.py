@@ -19,7 +19,7 @@ def reference_solve(f, initial, multiplicities, settings=None):
     mult = state.multiplicities
     solver._check_inputs(f, mult, settings)
     history = [state]
-    status = sums = None
+    status = residuals = None
 
     if not all(f.basis.contains(x) for x in state.approximations):
         status = SolveStatus.domain_escape
@@ -45,16 +45,15 @@ def reference_solve(f, initial, multiplicities, settings=None):
             status = SolveStatus.domain_escape
             break
         if float(np.max(np.abs(corrections))) < settings.tolerance:
-            sums = solver._residual_sums(f, new, mult)
-            if solver._residuals_validate(sums):
+            residuals, passes = solver._final_state(f, new, mult)
+            if passes:
                 status = SolveStatus.converged
                 break
 
     final = history[-1]
     if status is not SolveStatus.converged:
-        sums = solver._residual_sums(f, final.approximations, mult)
-    return SolveReport(history, status, final.k,
-                       solver._final_residuals(sums, mult))
+        residuals, _ = solver._final_state(f, final.approximations, mult)
+    return SolveReport(history, status, final.k, residuals)
 
 
 def report_bytes(report):

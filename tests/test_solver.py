@@ -10,6 +10,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from simroots import (
     DegenerateDenominator,
     DimensionMismatch,
+    DomainError,
     GeneralizedPolynomial,
     InvalidConfiguration,
     IterateCollision,
@@ -37,7 +39,7 @@ from simroots import (
     step_method3,
     step_method13,
 )
-from simroots import solver
+from simroots import cli, solver
 from simroots.basis import (BasisSystem, constant, cosine, exponential,
                             expression, power, sine)
 from simroots.confluent import (_node_block, node_null_vector, node_rows,
@@ -294,6 +296,21 @@ def test_ehrlich_needs_monomial_basis(reference_problem):
               SolverSettings(method="ehrlich"))
 
 
+def test_orders_above_the_basis_cap_are_refused_by_every_method():
+    # (x - 0.5)^102 on the monomial basis, whose derivatives stop at order
+    # 100: ehrlich's sweeps read order 1, but its residuals order 101
+    n = 102
+    f = GeneralizedPolynomial(_monomials(n + 1), np.array(
+        [math.comb(n, k) * (-0.5) ** (n - k) for k in range(n + 1)]))
+    assert f.basis.derivative_cap == 100
+    for method, order in (("method3", 103), ("method13", 103),
+                          ("ehrlich", 101)):
+        with pytest.raises(InvalidConfiguration, match=(
+                "%s needs derivatives of order %d but the basis caps them "
+                "at 100" % (method, order))):
+            solve(f, [0.6], [n], SolverSettings(method=method))
+
+
 def test_collision_stops_the_solve():
     system = _monomials(3)
     f = from_roots(system, RootConfiguration(((1.0, 1), (-1.0, 1))))
@@ -545,8 +562,8 @@ def test_sweeps_after_a_repeat_are_not_computed(name, sweeps, sums,
     calls = Counter()
     monkeypatch.setattr(solver, "_step",
                         _counting(calls, "step", solver._step))
-    monkeypatch.setattr(solver, "_residual_sums", _counting(
-        calls, "sums", solver._residual_sums))
+    monkeypatch.setattr(solver, "_final_state", _counting(
+        calls, "sums", solver._final_state))
     monkeypatch.setattr(BasisSystem, "tensor",
                         _counting(calls, "tensor", BasisSystem.tensor))
     report = solve(f, initial, multiplicities, SolverSettings(method=method))
@@ -733,8 +750,8 @@ def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch,
         report = solve(f, state.approximations, multiplicities)
         assert report.status is SolveStatus.converged
         calls.clear()
-        solver._residual_sums(f, report.history[-1].approximations,
-                              state.multiplicities)
+        solver._final_state(f, report.history[-1].approximations,
+                            state.multiplicities)
         assert calls == {"tensor": 1, "fsum": sum(multiplicities)}
     # a converged solve whose last sweep held every root checks its
     # residuals from that sweep: one tensor per computed sweep, none after
@@ -760,10 +777,21 @@ def _expression_reference_problem():
     return from_roots(system, REFERENCE_ROOTS)
 
 
-# what each method's residual checks read over the cases below: the pair
-# of sums of the last computed sweep's snapshot, the node rows of its
-# tensor, or a fresh tensor, given no snapshot at those bytes ("fresh") or
-# one whose tensor stops below order alpha_i - 1 ("short", mixed ehrlich)
+def _final_read(multiplicities, plan, snapshot):
+    """Which read a _final_state call takes: the pair of sums of the last
+    computed sweep's snapshot, the node rows of its tensor, or a fresh
+    tensor, given no snapshot at those bytes ("fresh") or one whose tensor
+    stops below order alpha_i - 1 ("short", mixed ehrlich)."""
+    if snapshot is None:
+        return "fresh"
+    if plan.paired:
+        return "pair"
+    if snapshot[-1].shape[1] >= max(multiplicities):
+        return "tensor"
+    return "short"
+
+
+# what each method's residual checks read over the cases below
 RESIDUAL_READS = {
     "method3": {"pair", "tensor", "fresh"},
     "method13": {"pair", "tensor", "fresh"},
@@ -777,9 +805,9 @@ def test_residuals_read_from_the_last_sweep_match_a_fresh_check(
     # a residual check at the bytes of the last computed sweep's snapshot
     # reads that snapshot: its pair of sums when the plan is paired, else
     # its tensor's node rows when that reaches order alpha_i - 1; any other
-    # check builds a fresh tensor.  Each must equal a fresh _residual_sums,
-    # value for value and scale for scale, and the report the computed
-    # loop's, which only sums afresh
+    # check builds a fresh tensor.  Each must equal a fresh _final_state,
+    # residual for residual and in its pass flag, and the report the
+    # computed loop's, which only sums afresh
     _, reference = reference_problem
     simple, simple_state = _monomial_snapshot((1,) * 14)
     mixed, mixed_state = _monomial_snapshot((3, 3, 2, 2, 2))
@@ -791,22 +819,15 @@ def test_residuals_read_from_the_last_sweep_match_a_fresh_check(
                   (_expression_reference_problem(), REFERENCE_INITIAL,
                    REFERENCE_MULTIPLICITIES)]
     reads = Counter()
-    fresh = solver._residual_sums
+    fresh = solver._final_state
 
     def checked(f, approximations, multiplicities, plan=None, snapshot=None):
-        sums = fresh(f, approximations, multiplicities, plan, snapshot)
-        assert sums == fresh(f, approximations, multiplicities)
-        if snapshot is None:
-            reads["fresh"] += 1
-        elif plan.paired:
-            reads["pair"] += 1
-        elif snapshot[-1].shape[1] >= max(multiplicities):
-            reads["tensor"] += 1
-        else:
-            reads["short"] += 1
-        return sums
+        state = fresh(f, approximations, multiplicities, plan, snapshot)
+        assert state == fresh(f, approximations, multiplicities)
+        reads[_final_read(multiplicities, plan, snapshot)] += 1
+        return state
 
-    monkeypatch.setattr(solver, "_residual_sums", checked)
+    monkeypatch.setattr(solver, "_final_state", checked)
     settings = SolverSettings(method=method)
     # the fixed mixed problem cycles at its roots until method3 and
     # ehrlich run out the budget, and its final state has the bytes of the
@@ -818,12 +839,10 @@ def test_residuals_read_from_the_last_sweep_match_a_fresh_check(
         assert report_bytes(report) == report_bytes(
             reference_solve(f, initial, multiplicities, settings))
         final = report.history[-1].approximations
-        sums = fresh(f, final, report.history[0].multiplicities)
-        assert report.final_residuals == solver._final_residuals(
-            sums, multiplicities)
+        residuals, passes = fresh(f, final, report.history[0].multiplicities)
+        assert report.final_residuals == residuals
         if f is not cycle[0]:
-            assert (report.status is SolveStatus.converged) \
-                == solver._residuals_validate(sums)
+            assert (report.status is SolveStatus.converged) == passes
     assert set(reads) == RESIDUAL_READS[method], reads
 
 
@@ -877,50 +896,115 @@ def _fresh_residual_evaluations(f, report, swept, settings):
     return sum(at != before or not reaches for at, before in evaluations)
 
 
-@pytest.mark.parametrize("name", ["monomial_det", "monomial_ehrlich"])
-def test_seeded_solves_build_a_tensor_per_sweep_and_per_fresh_check(
-        name, monkeypatch, tmp_path):
-    # every seed-1 solve entry of the benchmark workload: one tensor per
-    # computed sweep, and one per residual evaluation that cannot read the
-    # last computed sweep's snapshot
+def _seeded_solves(name, monkeypatch, tmp_path):
+    """(slice name, f, initial, multiplicities, settings) of every solve
+    that a seed-1 entry of the benchmark workload makes, in sequence
+    order: one per solve entry, and one per method of a CLI entry's
+    problem file, parsed as `simroots run` parses it."""
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
-    workload = workloads.generate(name, 1, tmp_path)
-    swept, calls = [], Counter()
-    step = solver._step
+    for slice_, problem in workloads.generate(name, 1, tmp_path).sequence:
+        if slice_.kind == "cli":
+            loaded = cli.load_problem(problem.path)
+            for method in loaded.methods:
+                yield (slice_.name, loaded.f, loaded.initial,
+                       loaded.multiplicities,
+                       replace(loaded.settings, method=method))
+        else:
+            yield (slice_.name, problem.f, problem.initial,
+                   problem.multiplicities, slice_.settings)
+
+
+# the reads of _final_state that each workload's seed-1 solves take: each
+# read is kept for the workloads it serves, so one that no longer takes
+# any of them can go
+SEEDED_READS = {
+    "reference_cli": {"pair", "tensor", "fresh"},
+    "monomial_det": {"pair", "tensor", "fresh"},
+    "monomial_ehrlich": {"pair", "short", "fresh"},
+}
+
+
+@pytest.mark.parametrize("name", SEEDED_READS)
+def test_seeded_solves_build_a_tensor_per_sweep_and_per_fresh_check(
+        name, monkeypatch, tmp_path):
+    # every seed-1 solve of the benchmark workload: one tensor per sweep,
+    # computed or raised, one per residual evaluation that cannot read the
+    # last computed sweep's snapshot, and one per root evaluated alone
+    # after that tensor left the domain or the float range
+    swept, calls, reads = [], Counter(), Counter()
+    step, final_state = solver._step, solver._final_state
 
     def recording(f, state, *args, **kwargs):
+        calls["step"] += 1
         result = step(f, state, *args, **kwargs)
         swept.append(state.approximations.tobytes())
         return result
 
+    def reading(f, xs, mult, plan=None, snapshot=None):
+        reads[_final_read(mult, plan, snapshot)] += 1
+        return final_state(f, xs, mult, plan, snapshot)
+
     monkeypatch.setattr(solver, "_step", recording)
-    monkeypatch.setattr(BasisSystem, "tensor",
-                        _counting(calls, "tensor", BasisSystem.tensor))
-    fresh = 0
-    for slice_, problem in workload.sequence:
+    monkeypatch.setattr(solver, "_final_state", reading)
+    for method in ("tensor", "rows"):
+        monkeypatch.setattr(BasisSystem, method, _counting(
+            calls, method, getattr(BasisSystem, method)))
+    fresh = solves = 0
+    for slice_name, f, initial, multiplicities, settings in _seeded_solves(
+            name, monkeypatch, tmp_path):
         swept.clear()
         calls.clear()
-        report = solve(problem.f, problem.initial, problem.multiplicities,
-                       slice_.settings)
-        expected = _fresh_residual_evaluations(problem.f, report, swept,
-                                               slice_.settings)
-        assert calls["tensor"] == len(swept) + expected, slice_.name
+        report = solve(f, initial, multiplicities, settings)
+        expected = _fresh_residual_evaluations(f, report, swept, settings)
+        assert calls["tensor"] == calls["step"] + expected + calls["rows"], \
+            slice_name
         fresh += expected
+        solves += 1
     # some checks read the snapshot and some do not
-    assert 0 < fresh < len(workload.sequence)
+    assert 0 < fresh < solves
+    assert set(reads) == SEEDED_READS[name], reads
+
+
+@pytest.mark.parametrize("name", ["monomial_det", "monomial_ehrlich",
+                                  "expression_jets"])
+def test_seeded_final_residuals_match_an_evaluation_at_each_root(
+        name, monkeypatch, tmp_path):
+    # every seed-1 solve entry of the workload: final_residuals are
+    # |f^(q)(x_i)| for q < alpha_i at the final iterates, bit for bit,
+    # from GeneralizedPolynomial.eval, a call path apart from the reads of
+    # _final_state; inf for every order of a root where one of them
+    # raises.  A converged report has every residual within 1e-6 of
+    # 1 + its term magnitude
+    for slice_name, f, initial, multiplicities, settings in _seeded_solves(
+            name, monkeypatch, tmp_path):
+        report = solve(f, initial, multiplicities, settings)
+        residuals, bounds = [], []
+        for x, alpha in zip(report.history[-1].approximations.tolist(),
+                            multiplicities):
+            try:
+                residuals += [abs(f.eval(x, q)) for q in range(alpha)]
+                bounds += [1e-6 * (1.0 + f.term_magnitude(x, q))
+                           for q in range(alpha)]
+            except (DomainError, OverflowError):
+                residuals += [math.inf] * alpha
+                bounds += [-math.inf] * alpha
+        assert report.final_residuals == residuals, slice_name
+        if report.status is SolveStatus.converged:
+            assert all(map(float.__le__, residuals, bounds)), slice_name
 
 
 def test_only_the_root_that_escapes_loses_its_residuals():
     f = from_roots(_monomials(5), RootConfiguration(
         ((-0.5, 2), (0.3, 1), (0.8, 1))))
     xs, mult = np.array([-0.45, 0.32, 0.79]), np.array([2, 1, 1])
-    alone = [f.row_sums(f.basis.rows(x, int(a) - 1)) for x, a in zip(xs, mult)]
-    assert solver._residual_sums(f, xs, mult) == alone
+    alone = [[abs(value) for value, _ in f.row_sums(f.basis.rows(x, a - 1))]
+             for x, a in zip(xs, mult.tolist())]
+    assert solver._final_state(f, xs, mult) == (sum(alone, []), False)
     # x^4 overflows at 1e100, and an infinite x is outside every domain
     for escaped in (1e100, math.inf):
-        sums = solver._residual_sums(f, np.array([-0.45, escaped, 0.79]), mult)
-        assert sums == [alone[0], None, alone[2]]
+        state = solver._final_state(f, np.array([-0.45, escaped, 0.79]), mult)
+        assert state == (alone[0] + [math.inf] + alone[2], False)
 
 
 def test_an_ehrlich_plan_indexes_no_node_block():
