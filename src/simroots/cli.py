@@ -128,6 +128,8 @@ def load_problem(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError("invalid JSON at line %d: %s" % (exc.lineno, exc.msg))
+    except RecursionError:
+        raise ProblemFileError("invalid JSON: nested too deeply to parse")
     if not isinstance(doc, dict):
         raise ProblemFileError("the problem file must hold a JSON object")
 
@@ -395,7 +397,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SimrootsError as exc:
+    except (SimrootsError, OSError) as exc:  # OSError: an unwritable output
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -196,22 +196,24 @@ def first_row_cofactors(basis, cfg):
     return determinant(np.vstack([unit_row, block])) / c[k] * c
 
 
-def _binary_exponents(a, axis):
-    """Exponents e with max |a| along axis in [2^(e-1), 2^e); 0 where zero."""
-    return np.frexp(np.max(np.abs(a), axis=axis))[1]
+def _row_maxima(block):
+    """max |b_j| of each row b of the node block; OverflowError unless all
+    are finite (max propagates NaN): expression jets overflow to inf
+    without raising, and an SVD can fail to return on a non-finite entry."""
+    maxima = np.abs(block).max(axis=1)
+    if not np.isfinite(maxima).all():
+        raise OverflowError("the node block has non-finite basis values")
+    return maxima
 
 
 def _equilibrated(block):
-    """(S, row exponents, column exponents) with S = 2^-r B 2^-c, B the
-    node block scaled by powers of two, rows and then columns, so the
-    scaling is exact.  Raises OverflowError when a basis value is not
-    finite: expression jets overflow to inf without raising, and an SVD
-    can fail to return at all on a non-finite entry."""
-    if not np.isfinite(block).all():
-        raise OverflowError("the node block has non-finite basis values")
-    row_exponents = _binary_exponents(block, 1)
+    """(S, row exponents, column exponents): S = 2^-r B 2^-c, the node
+    block B scaled exactly by powers of two, rows and then columns, each
+    2^e within a factor 2 above the largest |entry| of its row or column
+    (e = 0 for a zero one).  Raises as _row_maxima."""
+    row_exponents = np.frexp(_row_maxima(block))[1]
     block = np.ldexp(block, -row_exponents[:, None])
-    column_exponents = _binary_exponents(block, 0)
+    column_exponents = np.frexp(np.abs(block).max(axis=0))[1]
     return np.ldexp(block, -column_exponents), row_exponents, column_exponents
 
 

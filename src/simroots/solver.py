@@ -12,21 +12,23 @@ Q and Q' are confluent determinants det([r; B]) on the current iterate
 snapshot: B is the block of node rows, shared by every root, and r is a
 probe row of basis derivatives at x_i.  Since det([r; B]) = kappa (r . c)
 for the null vector c of B, with one kappa for every probe row, the ratio
-Q'/Q is (r_{alpha+1} . c) / (r_alpha . c): one SVD of B per sweep
-(confluent.node_null_vector) serves all roots and both probe orders.  A
-rank guard stops the solve when B is numerically singular, because c is
-then an arbitrary direction, and a cancellation guard when |Q| is
-negligible against its terms sum_j |c_j r_j|; neither reads the scale of
-c.  For a pure monomial basis the ratio Q'/((alpha+1) Q) equals the
-pairwise sum sum_{j != i} alpha_j/(x_i - x_j) (_pairwise_sums), which is
-the ehrlich form's stand-in for it.
+Q'/Q is (r_{alpha+1} . c) / (r_alpha . c): one SVD of B per sweep in
+which some root can move (confluent.node_null_vector) serves all roots
+and both probe orders.  A rank guard stops the solve when B is
+numerically singular, because c is then an arbitrary direction, and a
+cancellation guard when |Q| is negligible against its terms
+sum_j |c_j r_j|; neither reads the scale of c.  For a pure monomial
+basis the ratio Q'/((alpha+1) Q) equals the pairwise sum
+sum_{j != i} alpha_j/(x_i - x_j) (_pairwise_sums), which is the ehrlich
+form's stand-in for it.
 
 A solve checks its inputs and indexes what its sweeps read once (_plan).
 Every correction reads one snapshot, which only _snapshot builds: the
 collision check, one BasisSystem.tensor over every root, f^(p) and
 f^(p+1) at every root from one product with the nonzero coefficients,
 and either Q and Q' at every root from one product of the probe rows
-with the null vector of B (_q_sums), or the ehrlich pairwise sums.  Both
+with the null vector of B (_q_sums), unless the noise-floor hold keeps
+every root, or the ehrlich pairwise sums.  Both
 products go through genpoly._term_sums: each value an exactly rounded
 fsum, each term scale one plain row sum.  A correction is then scalar
 arithmetic and guards.
@@ -55,8 +57,8 @@ from enum import Enum
 
 import numpy as np
 
-from .confluent import (node_null_vector, node_rows, positive_integers,
-                        real_sequence)
+from .confluent import (_row_maxima, node_null_vector, node_rows,
+                        positive_integers, real_sequence)
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -80,6 +82,7 @@ COLLISION_THRESHOLD = 1e-12  # relative to 1 + max(|x_i|, |x_j|)
 # the exact one: that moves the floor by a relative (k - 1) u, far inside
 # the order-of-magnitude choice of 64, so its last bits do not matter.
 NOISE_FLOOR_FACTOR = 64.0
+HOLD_FLOOR = NOISE_FLOOR_FACTOR * EPS  # of the hold and _snapshot's scan
 
 # A correction-converged state must also look like a root of the claimed
 # multiplicities; otherwise the iteration is frozen at a foreign zero and
@@ -229,20 +232,20 @@ def _guarded_quotient(numerator, term_a, term_b, label):
     return numerator / den
 
 
-def _check_inputs(f, multiplicities, settings):
-    """DimensionMismatch unless the multiplicities sum to the basis degree;
-    InvalidConfiguration for ehrlich off the monomial basis, or when the
-    method needs derivatives above the basis cap.  Returns the highest
-    order the method's sweeps read."""
-    if int(multiplicities.sum()) != len(f.basis) - 1:
+def _check_inputs(f, alphas, settings):
+    """DimensionMismatch unless the multiplicities alphas (a list of ints)
+    sum to the basis degree; InvalidConfiguration for ehrlich off the
+    monomial basis, or when the method needs derivatives above the basis
+    cap.  Returns the highest order the method's sweeps read."""
+    if sum(alphas) != len(f.basis) - 1:
         raise DimensionMismatch(
             "multiplicities sum to %d but the basis supports degree %d"
-            % (int(multiplicities.sum()), len(f.basis) - 1))
+            % (sum(alphas), len(f.basis) - 1))
     if settings.method == "ehrlich" and not is_monomial_basis(f.basis):
         raise InvalidConfiguration("ehrlich needs the monomial basis")
     # method3 and method13 read the probe row of order alpha + 1; ehrlich's
     # sweeps read order 1, and the residuals of every method alpha - 1
-    alpha = int(multiplicities.max(initial=1))
+    alpha = max(alphas, default=1)
     order = 1 if settings.method == "ehrlich" else alpha + 1
     needed = max(order, alpha - 1)
     if needed > f.basis.derivative_cap:
@@ -265,7 +268,8 @@ def _plan(f, mult, settings):
     does not read them; the nonzero coefficients; and whether the rows
     p_i, p_i + 1 of every root start with all its node rows, that is
     p_i = 0 and alpha_i <= 2 (paired)."""
-    top = _check_inputs(f, mult, settings)
+    alphas = mult.tolist()
+    top = _check_inputs(f, alphas, settings)
     columns = np.flatnonzero(f.coefficients)
     first = np.arange(len(mult)) * (top + 1)  # root i's row of order 0
     # every method steps on f^(p) over f^(p+1): p = alpha - 1 for method13
@@ -278,7 +282,7 @@ def _plan(f, mult, settings):
         probe = (first + mult)[:, None] + (0, 1)
     return _Plan(top, step_rows * len(f.basis) + columns, node, probe,
                  f.coefficients[columns],
-                 max(mult.tolist()) <= (1 if method13 else 2))
+                 max(alphas) <= (1 if method13 else 2))
 
 
 def _snapshot(f, state, settings, plan=None):
@@ -287,7 +291,9 @@ def _snapshot(f, state, settings, plan=None):
     highest order any root needs: sums[i] = f.row_sums of rows p_i and
     p_i + 1 of root i, the orders its step reads; for method3 and
     method13, the singular value ratio of the node block and _q_sums on
-    its null vector; for ehrlich, shifts = the pairwise sums.  A call
+    its null vector; for ehrlich, shifts = the pairwise sums.  Where the
+    hold zeroes every correction, none reads Q'/Q: the node block is only
+    checked to be finite, and rank_ratio and q_sums are None.  A call
     without a plan builds it."""
     plan = plan or _plan(f, state.multiplicities, settings)
     xs, mult = state.approximations, state.multiplicities
@@ -298,6 +304,9 @@ def _snapshot(f, state, settings, plan=None):
     if settings.method == "ehrlich":
         return sums, None, None, _pairwise_sums(xs, mult), tensor
     rows = tensor.reshape(-1, tensor.shape[2])
+    if all(at and abs(at[0]) <= HOLD_FLOOR * at[1] for at, _ in sums):
+        _row_maxima(rows[plan.node])
+        return sums, None, None, None, tensor
     c, rank_ratio = node_null_vector(rows[plan.node])
     return sums, rank_ratio, _q_sums(rows[plan.probe], c), None, tensor
 
@@ -318,7 +327,7 @@ def single_correction(f, state, i, settings, snapshot=None):
     at_p, at_next = sums[i]
     # an entry is a (value, scale) tuple, so only None reaches checked_sums
     fp, magnitude = at_p or checked_sums(at_p)
-    if abs(fp) <= NOISE_FLOOR_FACTOR * EPS * magnitude:
+    if abs(fp) <= HOLD_FLOOR * magnitude:
         # a root hit, or a residual of pure rounding noise: hold position
         return 0.0
     alpha = int(state.multiplicities[i])

@@ -17,7 +17,7 @@ def reference_solve(f, initial, multiplicities, settings=None):
     settings = settings or SolverSettings()
     state = IterationState(np.array(initial, dtype=float), multiplicities)
     mult = state.multiplicities
-    solver._check_inputs(f, mult, settings)
+    solver._check_inputs(f, mult.tolist(), settings)
     history = [state]
     status = residuals = None
 

@@ -12,6 +12,7 @@ import simroots
 from simroots import SolverSettings
 from simroots.basis import MAX_EXPONENT
 from simroots.cli import load_problem, main
+from simroots.errors import ProblemFileError
 
 REFERENCE_PROBLEM = {
     "basis": [
@@ -316,6 +317,31 @@ def test_unreadable_and_malformed_files(tmp_path, capsys):
     broken.write_text("{", encoding="utf-8")
     assert main(["run", str(broken)]) == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+    # json.loads raises RecursionError on nesting this deep
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"a": %s%s}' % ("[" * 1000, "]" * 1000),
+                      encoding="utf-8")
+    with pytest.raises(ProblemFileError, match="invalid JSON"):
+        load_problem(nested)
+    assert main(["run", str(nested)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+
+def test_an_unwritable_output_is_one_error_line(tmp_path, capsys):
+    problem = _write_problem(tmp_path, REFERENCE_PROBLEM)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    # an output directory that is a file, then output files that are
+    # directories
+    blocked = tmp_path / "blocked"
+    for name in ("method13.csv", "compare.csv"):
+        (blocked / ("problem." + name)).mkdir(parents=True)
+    for out in (taken, blocked):
+        for command in ("run", "compare"):
+            assert main([command, str(problem), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_load_problem_returns_the_parsed_pieces(tmp_path):

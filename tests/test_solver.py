@@ -769,6 +769,13 @@ def test_a_sweep_evaluates_the_basis_once_per_root(monkeypatch,
         assert report.status is SolveStatus.converged
         assert held.approximations.tobytes() == last.approximations.tobytes()
         assert calls["tensor"] == report.iterations_used, method
+        # that sweep held every root: f^(p) and f^(p+1) take one fsum each,
+        # Q and Q' none, ehrlich's pairwise sum one
+        assert not held.last_corrections.any()
+        calls.clear()
+        _step(f, held, SolverSettings(method=method))
+        assert calls["fsum"] == len(initial) * (
+            3 if method == "ehrlich" else 2), method
 
 
 def _expression_reference_problem():
@@ -922,6 +929,7 @@ SEEDED_READS = {
     "reference_cli": {"pair", "tensor", "fresh"},
     "monomial_det": {"pair", "tensor", "fresh"},
     "monomial_ehrlich": {"pair", "short", "fresh"},
+    "expression_jets": {"pair", "tensor", "fresh"},
 }
 
 
@@ -931,14 +939,21 @@ def test_seeded_solves_build_a_tensor_per_sweep_and_per_fresh_check(
     # every seed-1 solve of the benchmark workload: one tensor per sweep,
     # computed or raised, one per residual evaluation that cannot read the
     # last computed sweep's snapshot, and one per root evaluated alone
-    # after that tensor left the domain or the float range
+    # after that tensor left the domain or the float range.  A method3 or
+    # method13 sweep that returns finds the node block's null vector
+    # exactly when some root moves, and every workload of those methods
+    # has sweeps that hold every root
     swept, calls, reads = [], Counter(), Counter()
     step, final_state = solver._step, solver._final_state
 
-    def recording(f, state, *args, **kwargs):
+    def recording(f, state, settings, *args, **kwargs):
         calls["step"] += 1
-        result = step(f, state, *args, **kwargs)
+        before = calls["null"]
+        result = step(f, state, settings, *args, **kwargs)
         swept.append(state.approximations.tobytes())
+        moved = settings.method != "ehrlich" and bool(result[1].any())
+        assert calls["null"] - before == moved
+        calls["held"] += settings.method != "ehrlich" and not moved
         return result
 
     def reading(f, xs, mult, plan=None, snapshot=None):
@@ -947,10 +962,12 @@ def test_seeded_solves_build_a_tensor_per_sweep_and_per_fresh_check(
 
     monkeypatch.setattr(solver, "_step", recording)
     monkeypatch.setattr(solver, "_final_state", reading)
+    monkeypatch.setattr(solver, "node_null_vector", _counting(
+        calls, "null", solver.node_null_vector))
     for method in ("tensor", "rows"):
         monkeypatch.setattr(BasisSystem, method, _counting(
             calls, method, getattr(BasisSystem, method)))
-    fresh = solves = 0
+    fresh = solves = held = 0
     for slice_name, f, initial, multiplicities, settings in _seeded_solves(
             name, monkeypatch, tmp_path):
         swept.clear()
@@ -960,10 +977,12 @@ def test_seeded_solves_build_a_tensor_per_sweep_and_per_fresh_check(
         assert calls["tensor"] == calls["step"] + expected + calls["rows"], \
             slice_name
         fresh += expected
+        held += calls["held"]
         solves += 1
     # some checks read the snapshot and some do not
     assert 0 < fresh < solves
     assert set(reads) == SEEDED_READS[name], reads
+    assert (held > 0) is (name != "monomial_ehrlich")
 
 
 @pytest.mark.parametrize("name", ["monomial_det", "monomial_ehrlich",
@@ -1182,6 +1201,23 @@ def test_a_held_root_does_not_read_its_infinite_q_in_any_entry_point():
         assert alone[0] == 0.0 and math.isfinite(alone[1]) and alone[1] != 0.0
         assert np.array_equal(alone, _step(f, state, settings)[1])
         assert np.array_equal(alone, parallel_corrections(f, state, settings))
+
+
+def test_a_sweep_that_holds_every_root_still_refuses_an_infinite_block():
+    # 1e300*1e300*x has infinite jets without raising, but its zero
+    # coefficient keeps f = x - 0.5 finite: at 0.5 method3's one root
+    # holds, and no correction reads Q'/Q, while method13 steps on f' = 1.
+    # Both must still refuse the node block, as node_null_vector does
+    system = BasisSystem((constant(), power(1), expression("1e300*1e300*x")))
+    f = GeneralizedPolynomial(system, np.array([-0.5, 1.0, 0.0]))
+    state = IterationState(np.array([0.5]), np.array([2]))
+    for method in ("method3", "method13"):
+        settings = SolverSettings(method=method)
+        assert _raised_by_every_entry_point(f, state, settings) \
+            == {OverflowError}, method
+        report = solve(f, [0.5], [2], settings)
+        assert report.status is SolveStatus.domain_escape, method
+        assert report.iterations_used == 0
 
 
 def test_a_cancelled_q_is_reported_before_a_later_infinite_q():
