@@ -19,9 +19,7 @@ BasisSystem.tensor gives every member's derivatives of orders 0 .. top at
 a batch of points.  Power members (and the constant, the power x^0) read
 one np.float_power table of libm powers x^k, scaled by falling factorials
 in one numpy product; every other member runs its scalar formula once per
-point.  rows is the tensor of one point.  eval gives one entry of it
-from one member alone, through the same formula (perm(s, p) * x ** (s - p)
-for a power), so it checks only that member's cap and overflow.
+point.  rows is the tensor of one point, and eval one entry of rows.
 """
 
 import ast
@@ -212,13 +210,11 @@ def _propagate(node, x, p):
 
 
 def jet_propagate(tree, x, p):
-    """The derivatives of orders 0 .. p (p >= 0) at x of an expression,
-    given as source text or a parsed tree: c_q * q! from its Taylor
-    coefficients c_q.  Raises OverflowError for math's ValueError at an
-    overflowed value: sin or cos of inf, or inf - inf in a compensated sum.
+    """The derivatives of orders 0 .. p (p >= 0) at x of a tree that
+    parse_expression returns: c_q * q! from its Taylor coefficients c_q.
+    Raises OverflowError for math's ValueError at an overflowed value: sin
+    or cos of inf, or inf - inf in a compensated sum.
     """
-    if isinstance(tree, str):
-        tree = parse_expression(tree)
     try:
         jet = _propagate(tree, float(x), int(p))
     except ValueError as exc:
@@ -417,31 +413,15 @@ class BasisSystem:
         return self._cap
 
     def contains(self, x):
+        """lo < x < hi: NaN and the infinities fail it with any bounds,
+        since __post_init__ refuses a NaN bound."""
         lo, hi = self.domain
-        return math.isfinite(x) and lo < x < hi
-
-    def _check_domain(self, xs):
-        lo, hi = self.domain
-        for x in xs:  # for a float, lo < x < hi is contains(x)
-            if not lo < x < hi:
-                raise DomainError(
-                    "x=%r outside open interval (%g, %g)" % (x, lo, hi))
+        return lo < x < hi
 
     def eval(self, j, x, p=0):
-        """Evaluate the p-th derivative of member j at x, bit for bit entry
-        (p, j) of rows(x, p), from member j alone: OrderExceedsCap only if
-        p exceeds its own cap, and no other member is evaluated."""
-        x = float(x)
-        self._check_domain((x,))
-        b = self.functions[j]
-        if p > b.derivative_cap:
-            raise OrderExceedsCap(
-                "derivative order %d exceeds cap %d" % (p, b.derivative_cap)
-            )
-        s = self._exponents[j]
-        if s is None:
-            return _column(b, x, p)[p]
-        return math.perm(s, p) * x ** (s - p) if p <= s else 0.0
+        """The p-th derivative of member j at x: entry (p, j) of rows(x, p),
+        which raises wherever rows does."""
+        return float(self.rows(x, p)[p, j])
 
     def rows(self, x, top):
         """tensor([x], top)[0]: the (top+1) x (n+1) array whose row p
@@ -464,7 +444,11 @@ class BasisSystem:
         """
         points = np.asarray(xs, dtype=float)
         xs = points.tolist()
-        self._check_domain(xs)
+        lo, hi = self.domain
+        for x in xs:  # contains(x), without a method call per point
+            if not lo < x < hi:
+                raise DomainError(
+                    "x=%r outside open interval (%g, %g)" % (x, lo, hi))
         if top > self._cap:
             raise OrderExceedsCap(
                 "derivative order %d exceeds cap %d" % (top, self._cap)

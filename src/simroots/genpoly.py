@@ -50,8 +50,6 @@ class GeneralizedPolynomial:
         """Evaluate the p-th derivative at x by compensated summation."""
         return checked_sums(self.row_sums(self.basis.rows(x, p)[p:])[0])[0]
 
-    __call__ = eval
-
     def term_magnitude(self, x, p=0):
         """Sum of |a_j phi_j^(p)(x)|, the roundoff scale of eval(x, p):
         a plain row sum, within (k - 1) u of exact for k terms."""

@@ -388,11 +388,6 @@ def step_method3(f, state, settings=None):
     return _step(f, state, _with_method(settings, "method3"))[0]
 
 
-def step_method13(f, state, settings=None):
-    """One total-step sweep of the higher-derivative baseline method."""
-    return _step(f, state, _with_method(settings, "method13"))[0]
-
-
 def ehrlich_step(f, state, settings=None):
     """One total-step sweep of the classical algebraic iteration; on the
     monomial basis only, where the pairwise sums stand in for Q'/Q."""

@@ -97,34 +97,35 @@ def test_jet_matches_catalog_closed_forms():
 
 def test_jet_square_coefficients():
     # coefficients 9, 6, 1 of (3 + t)^2, as derivatives c_q * q!
-    assert jet_propagate("x*x", 3.0, 2) == [9.0, 6.0, 2.0]
+    assert jet_propagate(parse_expression("x*x"), 3.0, 2) == [9.0, 6.0, 2.0]
 
 
 def test_jet_sin_derivatives_at_zero():
-    derivs = jet_propagate("sin(3*x)", 0.0, 3)
+    derivs = jet_propagate(parse_expression("sin(3*x)"), 0.0, 3)
     assert derivs == pytest.approx([0.0, 3.0, 0.0, -27.0], abs=1e-12)
 
 
 def test_jet_derivative_scaling_invariant():
     # at 0 a polynomial's Taylor coefficients are its own, exactly
     coefficients = [2.0, -1.0, 0.25, 7.0]
-    derivs = jet_propagate("2 - x + 0.25*x^2 + 7*x^3", 0.0, 3)
+    derivs = jet_propagate(parse_expression("2 - x + 0.25*x^2 + 7*x^3"),
+                           0.0, 3)
     assert derivs == [c * math.factorial(q) for q, c in enumerate(coefficients)]
 
 
 def test_jet_negative_power():
-    derivs = jet_propagate("x^-2", 2.0, 1)
+    derivs = jet_propagate(parse_expression("x^-2"), 2.0, 1)
     assert derivs[0] == pytest.approx(0.25, rel=1e-14)
     assert derivs[1] == pytest.approx(-0.25, rel=1e-13)
 
 
 def test_unary_minus_binds_looser_than_power():
-    assert jet_propagate("-x^2", 3.0, 0) == [-9.0]
+    assert jet_propagate(parse_expression("-x^2"), 3.0, 0) == [-9.0]
 
 
 def test_division_by_singular_jet():
     with pytest.raises(DivisionBySingularJet):
-        jet_propagate("1/(x-0.5)", 0.5, 3)
+        jet_propagate(parse_expression("1/(x-0.5)"), 0.5, 3)
 
 
 def test_jet_overflow_raises_overflow_error():
@@ -133,7 +134,7 @@ def test_jet_overflow_raises_overflow_error():
     for source, x in (("sin(x*x*x)", 1e200), ("cos(x^3)", 1e200),
                       ("x*x*x*(1/x)", 1e160)):
         with pytest.raises(OverflowError):
-            jet_propagate(source, x, 2)
+            jet_propagate(parse_expression(source), x, 2)
 
 
 ROW_SYSTEMS = {
@@ -148,14 +149,14 @@ ROW_SYSTEMS = {
 
 @pytest.mark.parametrize("name", sorted(ROW_SYSTEMS))
 def test_rows_agree_with_scalar_eval(name):
+    # eval reads rows, so rows is checked against the scalar formulas
     system = ROW_SYSTEMS[name]
     top = 5
     for x in GENERIC_POINTS:
         rows = system.rows(x, top)
         assert rows.shape == (top + 1, len(system))
-        for p in range(top + 1):
-            for j in range(len(system)):
-                assert rows[p, j] == system.eval(j, x, p), (name, x, p, j)
+        assert np.array_equal(rows, _scalar_tensor(system, [x], top)[0]), (
+            name, x)
 
 
 def test_rows_check_the_domain_and_the_cap():
@@ -170,18 +171,25 @@ def test_rows_check_the_domain_and_the_cap():
         capped.rows(0.5, 4)
 
 
-def test_eval_reads_only_its_own_member():
-    # exp(800 x) overflows at x = 2; x*x caps its orders at 8, sine at 100
+def test_eval_raises_what_rows_raises():
+    # eval is one entry of rows, so another member's overflow or cap
+    # decides: exp(800 x) overflows at x = 2; x*x caps its orders at 8,
+    # sine at 100
     system = BasisSystem((constant(), power(1), exponential(800.0)))
-    assert system.eval(1, 2.0) == 2.0
-    for read in (lambda: system.eval(2, 2.0), lambda: system.rows(2.0, 0)):
-        with pytest.raises(OverflowError):
-            read()
     capped = BasisSystem((sine(1.0), expression("x*x")))
-    assert capped.eval(0, 0.5, 9) == math.sin(0.5 + 9 * math.pi / 2.0)
-    for read in (lambda: capped.eval(1, 0.5, 9), lambda: capped.rows(0.5, 9)):
-        with pytest.raises(OrderExceedsCap):
-            read()
+    for exc, reads in (
+            (OverflowError, (lambda: system.eval(1, 2.0),
+                             lambda: system.rows(2.0, 0))),
+            (OrderExceedsCap, (lambda: capped.eval(0, 0.5, 9),
+                               lambda: capped.rows(0.5, 9)))):
+        messages = []
+        for read in reads:
+            with pytest.raises(exc) as info:
+                read()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    assert system.eval(1, 0.5) == 0.5
+    assert capped.eval(0, 0.5, 8) == math.sin(0.5 + 8 * math.pi / 2.0)
 
 
 def _scalar_power(s, x, p):

@@ -1,9 +1,20 @@
 """tools/fingerprints.py compare: a bit-for-bit check that cannot pass on
-files that hold nothing."""
+files that hold nothing, and that names what a differing entry did."""
 
 from pathlib import Path
 
+from simroots import DomainError, SolverSettings, from_roots, solve
+from simroots.basis import BasisSystem, constant, power
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _files(tmp_path, texts):
+    files = {}
+    for name, text in texts.items():
+        files[name] = str(tmp_path / name)
+        Path(files[name]).write_text(text)
+    return files
 
 
 def test_compare_counts_the_entries_and_fails_on_an_empty_file(
@@ -11,15 +22,45 @@ def test_compare_counts_the_entries_and_fails_on_an_empty_file(
     monkeypatch.syspath_prepend(str(TOOLS))
     from fingerprints import main
 
-    files = {}
-    for name, text in (("empty", ""), ("a", "w 1 0 s aa\nw 1 1 s bb\n"),
-                       ("b", "w 1 0 s aa\nw 1 1 s cc\n")):
-        files[name] = str(tmp_path / name)
-        Path(files[name]).write_text(text)
+    # lines written before the status fields read "?" for them
+    files = _files(tmp_path, {"empty": "", "a": "w 1 0 s aa\nw 1 1 s bb\n",
+                              "b": "w 1 0 s aa\nw 1 1 s cc\n"})
     assert main(["compare", files["a"], files["a"]]) == 0
     assert capsys.readouterr().out == "0 of 2 entries differ\n"
     assert main(["compare", files["a"], files["b"]]) == 1
-    assert capsys.readouterr().out == "w 1 1 s\n1 of 2 entries differ\n"
+    assert capsys.readouterr().out == (
+        "w 1 1 s: ? ? -> ? ?\n1 of 2 entries differ\n")
     for pair in (("empty", "empty"), ("a", "empty"), ("empty", "b")):
         assert main(["compare"] + [files[name] for name in pair]) == 1
         assert "a file holds no entries" in capsys.readouterr().out
+
+
+def test_compare_prints_both_sides_status_and_iterations(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    from fingerprints import main
+
+    files = _files(tmp_path, {
+        "a": "w 1 0 s aa converged 4\nw 1 1 s bb converged 3\n"
+             "w 1 2 c dd 0 -\n",
+        "b": "w 1 0 s aa converged 4\nw 1 1 s cc max_iterations 50\n"
+             "w 1 3 c ee DomainError -\n"})
+    assert main(["compare", files["a"], files["a"]]) == 0
+    assert capsys.readouterr().out == "0 of 3 entries differ\n"
+    assert main(["compare", files["a"], files["b"]]) == 1
+    assert capsys.readouterr().out == (
+        "w 1 1 s: converged 3 -> max_iterations 50\n"
+        "w 1 2 c: 0 - -> absent\n"
+        "w 1 3 c: absent -> DomainError -\n"
+        "3 of 4 entries differ\n")
+
+
+def test_the_status_fields_of_a_solve_a_cli_run_and_a_raise(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    from fingerprints import _verdict
+
+    f = from_roots(BasisSystem((constant(), power(1))), [(0.5, 1)])
+    report = solve(f, [0.6], [1], SolverSettings(max_iterations=1))
+    assert _verdict(report) == ("max_iterations", "1")
+    assert _verdict(1) == ("1", "-")
+    assert _verdict(DomainError("x")) == ("DomainError", "-")

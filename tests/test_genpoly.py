@@ -39,7 +39,7 @@ def test_eval_values():
     f = _quadratic()
     assert f.eval(1.0) == 0.0
     assert f.eval(0.0, 1) == -3.0
-    assert f(3.0) == 2.0
+    assert f.eval(3.0) == 2.0
     assert f.eval(5.0, 2) == 2.0
 
 

@@ -55,7 +55,6 @@ PUBLIC = [
     "sine",
     "single_correction",
     "solve",
-    "step_method13",
     "step_method3",
 ]
 

@@ -37,7 +37,6 @@ from simroots import (
     single_correction,
     solve,
     step_method3,
-    step_method13,
 )
 from simroots import cli, solver
 from simroots.basis import (BasisSystem, constant, cosine, exponential,
@@ -133,7 +132,7 @@ def test_simple_roots_make_both_methods_identical():
     f = from_roots(system, RootConfiguration(((-1.0, 1), (0.5, 1), (2.0, 1))))
     state = IterationState(np.array([-1.1, 0.6, 1.9]), np.array([1, 1, 1]))
     a = step_method3(f, state)
-    b = step_method13(f, state)
+    b = _step(f, state, SolverSettings(method="method13"))[0]
     assert np.array_equal(a, b)
 
 
@@ -312,12 +311,15 @@ def test_orders_above_the_basis_cap_are_refused_by_every_method():
 
 
 def test_collision_stops_the_solve():
-    system = _monomials(3)
-    f = from_roots(system, RootConfiguration(((1.0, 1), (-1.0, 1))))
-    report = solve(f, (0.5, 0.5 + 1e-14), (1, 1))
-    assert report.status is SolveStatus.iterate_collision
-    assert report.iterations_used == 0
-    assert len(report.history) == 1
+    # 1e-12 apart at 1.0 is inside the limit 1e-12 (1 + 1.0); from there a
+    # threshold of 1e-13 would let the solve converge
+    for roots, initial in ((((1.0, 1), (-1.0, 1)), (0.5, 0.5 + 1e-14)),
+                           (((0.9, 1), (1.2, 1)), (1.0, 1.0 + 1e-12))):
+        f = from_roots(_monomials(3), RootConfiguration(roots))
+        report = solve(f, initial, (1, 1))
+        assert report.status is SolveStatus.iterate_collision
+        assert report.iterations_used == 0
+        assert len(report.history) == 1
 
 
 def test_degenerate_denominator_is_reported(reference_problem, monkeypatch):
@@ -473,6 +475,21 @@ def test_max_iterations(reference_problem):
     assert report.status is SolveStatus.max_iterations
     assert report.iterations_used == 2
     assert len(report.history) == 3
+
+
+def test_a_correction_equal_to_the_tolerance_does_not_stop_the_solve():
+    # the rerun's tolerance is sweep 3's largest correction, read back
+    # from the first run, so only a strict test keeps sweeping to 4
+    roots = (-0.8, -0.5, -0.1, 0.2, 0.55, 0.9)
+    f = from_roots(_monomials(7), RootConfiguration(tuple(
+        (root, 1) for root in roots)))
+    initial = (-0.78, -0.53, -0.08, 0.21, 0.57, 0.88)
+    report = solve(f, initial, [1] * 6)
+    assert (report.status, report.iterations_used) == (SolveStatus.converged,
+                                                       4)
+    tolerance = float(np.abs(report.history[3].last_corrections).max())
+    rerun = solve(f, initial, [1] * 6, SolverSettings(tolerance=tolerance))
+    assert (rerun.status, rerun.iterations_used) == (SolveStatus.converged, 4)
 
 
 def test_wrong_multiplicity_claim_never_converges():
@@ -1060,6 +1077,19 @@ def test_a_held_root_does_not_read_its_next_row():
             == 0.0
     with pytest.raises(OverflowError):
         f.eval(x, 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_the_hold_fires_at_64_eps_of_the_term_magnitude(method):
+    # f = x - 0.5 on {1, x} at 0.5 (1 + k eps): |f| = k eps / 2 exactly,
+    # against a term magnitude of 1 + k eps / 2; f' = 1 and Q' = 0, so a
+    # correction that is not held is f itself
+    f = GeneralizedPolynomial(_monomials(2), np.array([-0.5, 1.0]))
+    settings = SolverSettings(method=method)
+    for k, expected in ((64, 0.0), (256, 128 * solver.EPS)):
+        state = IterationState(np.array([0.5 * (1.0 + k * solver.EPS)]),
+                               np.array([1]))
+        assert single_correction(f, state, 0, settings) == expected, k
 
 
 def test_settings_validation():

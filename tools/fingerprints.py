@@ -11,11 +11,16 @@ produced: bench/run.py's `fingerprint` (status, iteration count and every
 iterate of a solve; exit code and output file bytes of a CLI run; type and
 message of a raise), plus the final residuals and each state's last
 corrections and multiplicities of a solve, and the standard output of a
-CLI run with its output directory written as OUT.  The workloads are the
-benchmark's three declared ones and `expression_jets`.  `compare` lists
-the entries whose hashes differ or that only one file holds, prints how
-many of all the entries these are, and exits 1 if there are any or if
-either file holds no entries (say, after an interrupted `write`).
+CLI run with its output directory written as OUT.  After the hash come
+two fields in clear text: the op's status (a solve's status value, a CLI
+run's exit code, or the type of a raise) and a solve's iterations_used
+(`-` for the others).  The workloads are the benchmark's three declared
+ones and `expression_jets`.  `compare` keys the entries on their first
+four fields and lists those whose hashes differ or that only one file
+holds, each with both sides' status and iterations (`?` on a line
+written without them, `absent` where a file lacks the entry).  It prints
+how many of all the entries these are, and exits 1 if there are any or
+if either file holds no entries (say, after an interrupted `write`).
 
 To check that a change keeps every iterate, write one file per checkout
 (for example the parent from `git archive`) and compare them:
@@ -50,6 +55,15 @@ def _extra(slice_, outcome, printed):
         for state in outcome.history)
 
 
+def _verdict(outcome):
+    """(status, iterations) of an op in clear text."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, "-"
+    if isinstance(outcome, int):  # a CLI run's exit code
+        return str(outcome), "-"
+    return outcome.status.value, str(outcome.iterations_used)
+
+
 def write(out, root, seeds):
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
@@ -71,23 +85,33 @@ def write(out, root, seeds):
                     shutil.rmtree(out_dir, ignore_errors=True)
                     sink.seek(0)
                     sink.truncate()
-                    lines.write("%s %d %d %s %s\n"
-                                % (name, seed, index, slice_.name, digest))
+                    lines.write("%s %d %d %s %s %s %s\n" % (
+                        (name, seed, index, slice_.name, digest)
+                        + _verdict(outcome)))
                 workload.close()
 
 
 def _read(path):
+    """Each entry's first four fields -> (hash, status, iterations)."""
     with open(path) as lines:
-        return {tuple(line.split()[:4]): line.split()[4] for line in lines}
+        return {tuple(fields[:4]): tuple(fields[4:7])
+                for fields in (line.split() + ["?", "?"] for line in lines)}
 
 
 def compare(a, b):
-    """The entries of a and b whose hashes differ or that one lacks, the
-    number of entries the two hold together, and whether both hold any."""
+    """The entries of a and b whose hashes differ or that one lacks, in
+    key order, each as (key, (status, iterations) in a, the same in b);
+    the number of entries the two hold together; and whether both hold
+    any."""
     first, second = _read(a), _read(b)
     keys = first.keys() | second.keys()
-    return (sorted(key for key in keys if first.get(key) != second.get(key)),
-            len(keys), bool(first and second))
+    absent = (None, "absent")
+    differ = []
+    for key in sorted(keys):
+        one, two = first.get(key, absent), second.get(key, absent)
+        if one[0] != two[0]:
+            differ.append((key, one[1:], two[1:]))
+    return differ, len(keys), bool(first and second)
 
 
 def main(argv=None):
@@ -106,8 +130,8 @@ def main(argv=None):
         write(args.out, args.root.resolve(), args.seeds)
         return 0
     differ, total, nonempty = compare(args.a, args.b)
-    for key in differ:
-        print(" ".join(key))
+    for key, one, two in differ:
+        print("%s: %s -> %s" % (" ".join(key), " ".join(one), " ".join(two)))
     print("%d of %d entries differ" % (len(differ), total))
     if not nonempty:
         print("a file holds no entries")
