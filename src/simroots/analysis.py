@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confluent import RootConfiguration, q_derivative, q_value
-from .errors import InsufficientHistory, InvalidConfiguration
+from .errors import DimensionMismatch, InsufficientHistory, InvalidConfiguration
 
 EPS = float(np.finfo(float).eps)
 
@@ -120,14 +120,6 @@ def check_derivative_congruence(f):
     return table
 
 
-def _error_sequence(history, true_root, index):
-    errors = []
-    for entry in history:
-        approx = getattr(entry, "approximations", entry)
-        errors.append(abs(float(approx[index]) - true_root))
-    return errors
-
-
 def estimate_order(history, true_roots):
     """Empirical convergence order from an iteration history.
 
@@ -138,13 +130,21 @@ def estimate_order(history, true_roots):
     meaningless.  Both errors of a pair must be below 1 for the log ratio
     to measure contraction.
 
-    Raises InsufficientHistory when a root has fewer than 3 errors above
-    the floor, or no usable pair at all.
+    Raises DimensionMismatch unless every entry of history (an
+    IterationState or a sequence of approximations) holds one
+    approximation per true root, and InsufficientHistory when a root has
+    fewer than 3 errors above the floor, or no usable pair at all.
     """
+    rows = [getattr(entry, "approximations", entry) for entry in history]
+    for row in rows:
+        if len(row) != len(true_roots):
+            raise DimensionMismatch(
+                "%d true roots for a history entry of %d approximations"
+                % (len(true_roots), len(row)))
     per_root = []
     for r, root in enumerate(true_roots):
         root = float(root)
-        errors = _error_sequence(history, root, r)
+        errors = [abs(float(row[r]) - root) for row in rows]
         floor = 100.0 * EPS * (1.0 + abs(root))
         usable = sum(1 for e in errors if e > floor)
         if usable < 3:

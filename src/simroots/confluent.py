@@ -10,7 +10,9 @@ Because the probe point enters only the first row and a determinant is
 linear in each row, differentiating the determinant with respect to the
 probe variable equals building the same matrix with the first row
 differentiated.  q_value and q_derivative rely on that identity instead of
-numerical differentiation.
+numerical differentiation.  Every determinant here is one LAPACK LU
+(determinant); the solver reads Q_i'/Q_i from an SVD of the node block
+instead (node_null_vector).
 """
 
 import math
@@ -133,31 +135,13 @@ def build_matrix(basis, cfg, probe, first_row_order):
 
 
 def determinant(matrix):
-    """Determinant by row-pivoted triangular elimination.
-
-    Accepts any square array.  Returns 0.0 for an
-    exactly singular matrix; callers apply their own magnitude thresholds.
-    Entries are eliminated in place on a copy, with the sign tracked
-    through row swaps.  Fine for the small dimensions used here; growth
-    can overflow for dimensions in the hundreds.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    """Determinant of a square array from LAPACK's partial-pivoting LU
+    (np.linalg.det).  Returns 0.0 for an exactly singular matrix; callers
+    apply their own magnitude thresholds."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("determinant needs a square matrix")
-    sign = 1.0
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            sign = -sign
-        for i in range(k + 1, n):
-            factor = a[i, k] / a[k, k]
-            if factor != 0.0:
-                a[i, k + 1:] -= factor * a[k, k + 1:]
-    return sign * float(np.prod(np.diag(a)))
+    return float(np.linalg.det(a))
 
 
 def first_row_cofactors(basis, cfg):
@@ -257,8 +241,8 @@ def q_value(basis, cfg, i, x):
     """Q_i at x: the confluent determinant with its first row differentiated
     alpha_i times, built on the current iterate configuration.
 
-    Evaluated by pivoted elimination of the full matrix, independently of
-    the null vector the solver uses for Q_i'/Q_i, so the two can check
+    Evaluated by an LU of the full matrix (determinant), independently of
+    the SVD null vector the solver uses for Q_i'/Q_i, so the two can check
     each other.
     """
     alpha = cfg.nodes[i][1]

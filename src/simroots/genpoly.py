@@ -17,6 +17,9 @@ class GeneralizedPolynomial:
     construction_roots and construction_scale are populated by from_roots:
     the stored roots let diagnostics locate the true zeros, and the scale s
     restores the unnormalized coefficient vector as s * coefficients.
+    The coefficients must be a confluent.real_sequence of finite values,
+    not all zero (InvalidConfiguration), one per basis function
+    (DimensionMismatch).
     """
 
     basis: object
@@ -25,6 +28,9 @@ class GeneralizedPolynomial:
     construction_scale: float | None = None
 
     def __post_init__(self):
+        if not confluent.real_sequence(self.coefficients):
+            raise InvalidConfiguration("coefficients must be a 1-d sequence "
+                                       "of real numbers")
         coeffs = np.asarray(self.coefficients, dtype=float)
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != len(self.basis):
@@ -32,8 +38,9 @@ class GeneralizedPolynomial:
                 "got %d coefficients for a basis of %d functions"
                 % (len(coeffs), len(self.basis))
             )
-        if not np.any(coeffs):
-            raise InvalidConfiguration("coefficients must not all be zero")
+        if not (np.isfinite(coeffs).all() and np.any(coeffs)):
+            raise InvalidConfiguration("coefficients must be finite and not "
+                                       "all zero, got %r" % (coeffs,))
 
     def row_sums(self, rows):
         """[(sum_j a_j r_j, sum_j |a_j r_j|) for each row r of rows]: with

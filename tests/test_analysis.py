@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from simroots import (
+    DimensionMismatch,
     GeneralizedPolynomial,
     InsufficientHistory,
     InvalidConfiguration,
@@ -195,4 +196,12 @@ def test_estimate_order_insufficient_history():
     stalled = [(0.5,), (0.5,), (0.5,), (0.5,)]
     with pytest.raises(InsufficientHistory):
         estimate_order(stalled, (0.5,))
+
+
+@pytest.mark.parametrize("true_roots", [(0.0, 1.0, 2.0), (0.0,)])
+def test_estimate_order_rejects_a_root_count_unlike_the_history(true_roots):
+    history = [(0.1 ** (2 ** k), 1.0 + 0.1 ** (2 ** k)) for k in range(5)]
+    assert len(estimate_order(history, (0.0, 1.0)).per_root) == 2
+    with pytest.raises(DimensionMismatch):
+        estimate_order(history, true_roots)
 

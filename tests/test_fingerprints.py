@@ -26,10 +26,11 @@ def test_compare_counts_the_entries_and_fails_on_an_empty_file(
     files = _files(tmp_path, {"empty": "", "a": "w 1 0 s aa\nw 1 1 s bb\n",
                               "b": "w 1 0 s aa\nw 1 1 s cc\n"})
     assert main(["compare", files["a"], files["a"]]) == 0
-    assert capsys.readouterr().out == "0 of 2 entries differ\n"
+    assert capsys.readouterr().out == "0 of 2 entries differ, 0 in status or iterations\n"
     assert main(["compare", files["a"], files["b"]]) == 1
     assert capsys.readouterr().out == (
-        "w 1 1 s: ? ? -> ? ?\n1 of 2 entries differ\n")
+        "w 1 1 s: ? ? -> ? ?\n"
+        "1 of 2 entries differ, 0 in status or iterations\n")
     for pair in (("empty", "empty"), ("a", "empty"), ("empty", "b")):
         assert main(["compare"] + [files[name] for name in pair]) == 1
         assert "a file holds no entries" in capsys.readouterr().out
@@ -46,13 +47,31 @@ def test_compare_prints_both_sides_status_and_iterations(
         "b": "w 1 0 s aa converged 4\nw 1 1 s cc max_iterations 50\n"
              "w 1 3 c ee DomainError -\n"})
     assert main(["compare", files["a"], files["a"]]) == 0
-    assert capsys.readouterr().out == "0 of 3 entries differ\n"
+    assert capsys.readouterr().out == "0 of 3 entries differ, 0 in status or iterations\n"
     assert main(["compare", files["a"], files["b"]]) == 1
     assert capsys.readouterr().out == (
         "w 1 1 s: converged 3 -> max_iterations 50\n"
         "w 1 2 c: 0 - -> absent\n"
         "w 1 3 c: absent -> DomainError -\n"
-        "3 of 4 entries differ\n")
+        "3 of 4 entries differ, 3 in status or iterations\n")
+
+
+def test_compare_counts_the_entries_whose_status_or_iterations_differ(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    from fingerprints import main
+
+    # other bits with the same outcome, then other iterations alone
+    files = _files(tmp_path, {
+        "a": "w 1 0 s aa converged 4\nw 1 1 s bb converged 3\n"
+             "w 1 2 c dd 0 -\n",
+        "b": "w 1 0 s ab converged 4\nw 1 1 s cc converged 5\n"
+             "w 1 2 c dd 0 -\n"})
+    assert main(["compare", files["a"], files["b"]]) == 1
+    assert capsys.readouterr().out == (
+        "w 1 0 s: converged 4 -> converged 4\n"
+        "w 1 1 s: converged 3 -> converged 5\n"
+        "2 of 3 entries differ, 1 in status or iterations\n")
 
 
 def test_the_status_fields_of_a_solve_a_cli_run_and_a_raise(monkeypatch):

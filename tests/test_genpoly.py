@@ -215,3 +215,17 @@ def test_coefficient_length_checked():
 def test_all_zero_coefficients_rejected():
     with pytest.raises(InvalidConfiguration):
         GeneralizedPolynomial(_monomials(3), (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("coefficients", [
+    [math.nan, 1.0, 0.0, 0.0, 0.0],
+    [math.inf, 1.0, 0.0, 0.0, 0.0],
+    np.array([1.0, 2.0, 3.0, 4.0, -math.inf]),
+    np.ones((5, 1)),
+    ["1", "2", "3", "4", "5"],
+    [1j, 1, 1, 1, 1],
+    [True, False, False, False, False],
+])
+def test_coefficients_that_are_not_finite_reals_rejected(coefficients):
+    with pytest.raises(InvalidConfiguration):
+        GeneralizedPolynomial(make_reference_basis(), coefficients)

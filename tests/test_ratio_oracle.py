@@ -4,9 +4,11 @@ The oracle takes the confluent matrices exactly as built in double
 precision and divides their determinants in 50-digit arithmetic, so it
 measures only the error of the linear algebra.  The null-vector ratio
 Q'_i/Q_i, read from the per-snapshot sums of every root (_q_sums), must
-be no less accurate than the pivoted-determinant ratio
+be no less accurate than the LU-determinant ratio
 q_derivative / q_value, up to a factor of 10, at every root index.
-The measured errors are printed (visible with pytest -s).
+The same oracle checks the one determinant behind from_roots: kappa's
+det([e_k; B]) in first_row_cofactors.  The measured errors are printed
+(visible with pytest -s).
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ import pytest
 from simroots import (
     RootConfiguration,
     build_matrix,
+    determinant,
+    first_row_cofactors,
     make_reference_basis,
     q_derivative,
     q_value,
@@ -83,3 +87,53 @@ def test_null_vector_ratio_against_the_oracle(name):
     print("%s: null vector %.2e, pivoted %.2e"
           % (name, null_error, pivoted_error))
     assert null_error <= 10.0 * pivoted_error
+
+
+def _jittered_grid(rng, multiplicities):
+    # distinct roots on an even grid in [-1, 1], each moved by up to 1/8
+    # of the grid step, as in the benchmark's monomial problems
+    step = 2.0 / len(multiplicities)
+    return tuple((-1.0 + (k + 0.5 + 0.25 * (rng.random() - 0.5)) * step, m)
+                 for k, m in enumerate(multiplicities))
+
+
+def _paper_pair(rng):
+    return ((rng.uniform(-1.0, 0.0), 2), (rng.uniform(2.5, 3.5), 2))
+
+
+# (basis, seeded node configurations, bound): each bound is 4 times the
+# worst relative error of the LAPACK determinant over the 8 seeded
+# configurations (1.7e-15, 8.9e-14, 5.6e-12, 2.1e-9, 1.5e-12, 4.6e-16),
+# rounded up
+KAPPA_CASES = {
+    "monomial n=6": (_monomials(7), lambda rng: _jittered_grid(rng, (1,) * 6),
+                     7e-15),
+    "monomial n=10": (_monomials(11),
+                      lambda rng: _jittered_grid(rng, (1,) * 10), 3.6e-13),
+    "monomial n=14": (_monomials(15),
+                      lambda rng: _jittered_grid(rng, (1,) * 14), 2.3e-11),
+    "monomial n=20": (_monomials(21),
+                      lambda rng: _jittered_grid(rng, (1,) * 20), 8.2e-9),
+    "mixed (3,3,2,2,2) n=12": (
+        _monomials(13), lambda rng: _jittered_grid(rng, (3, 3, 2, 2, 2)),
+        6.1e-12),
+    "reference (2,2)": (make_reference_basis(), _paper_pair, 1.9e-15),
+}
+
+
+@pytest.mark.parametrize("name", list(KAPPA_CASES))
+def test_kappa_determinant_against_the_oracle(name):
+    basis, configurations, bound = KAPPA_CASES[name]
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(8):
+        cfg = RootConfiguration(configurations(rng))
+        c = first_row_cofactors(basis, cfg)
+        k = int(np.argmax(np.abs(c)))
+        bordered = np.vstack([np.eye(len(c))[k], _node_block(basis, cfg)])
+        with mp.workdps(50):
+            exact = mp.det(mp.matrix(bordered.tolist()))
+        worst = max(worst, _relative_error(determinant(bordered), exact))
+    print("%s: kappa determinant %.2e (bound %.1e)" % (name, worst, bound))
+    assert worst <= bound
+

@@ -19,8 +19,11 @@ ones and `expression_jets`.  `compare` keys the entries on their first
 four fields and lists those whose hashes differ or that only one file
 holds, each with both sides' status and iterations (`?` on a line
 written without them, `absent` where a file lacks the entry).  It prints
-how many of all the entries these are, and exits 1 if there are any or
-if either file holds no entries (say, after an interrupted `write`).
+how many of all the entries these are, and how many of those differ in
+status or iterations too (an entry one file lacks does), so a change that
+moves bits but no outcome reads "N of T entries differ, 0 in status or
+iterations".  It exits 1 if any entry differs or if either file holds no
+entries (say, after an interrupted `write`).
 
 To check that a change keeps every iterate, write one file per checkout
 (for example the parent from `git archive`) and compare them:
@@ -132,7 +135,9 @@ def main(argv=None):
     differ, total, nonempty = compare(args.a, args.b)
     for key, one, two in differ:
         print("%s: %s -> %s" % (" ".join(key), " ".join(one), " ".join(two)))
-    print("%d of %d entries differ" % (len(differ), total))
+    moved = sum(one != two for _, one, two in differ)
+    print("%d of %d entries differ, %d in status or iterations"
+          % (len(differ), total, moved))
     if not nonempty:
         print("a file holds no entries")
     return 1 if differ or not nonempty else 0
