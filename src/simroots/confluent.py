@@ -35,13 +35,23 @@ def real_sequence(values):
     """True when values is a 1-d sequence of real numbers: a numpy array
     of integer or float dtype, or a list, tuple or other Sequence of ints,
     floats or other numbers.Real, bools excluded.  Strings, bytes, sets,
-    generators, complex numbers, None and nested sequences are not."""
+    generators, complex numbers, None, nested sequences and numbers that
+    float() cannot hold (it raises OverflowError) are not."""
     if isinstance(values, np.ndarray):
         return values.ndim == 1 and values.dtype.kind in "iuf"
     if not isinstance(values, Sequence) or isinstance(values, (bytes, bytearray)):
         return False
-    return all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
-               for kind in set(map(type, values)))
+    kinds = set(map(type, values))
+    if not all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+               for kind in kinds):
+        return False
+    if kinds <= {float}:
+        return True
+    try:  # float() of an int or a Fraction beyond the float range raises
+        list(map(float, values))
+    except OverflowError:
+        return False
+    return True
 
 
 def positive_integers(multiplicities):
@@ -65,10 +75,13 @@ class RootConfiguration:
 
     def __post_init__(self):
         multiplicities = positive_integers([m for _, m in self.nodes])
-        normalized = tuple((float(x), m)
-                           for (x, _), m in zip(self.nodes, multiplicities))
-        object.__setattr__(self, "nodes", normalized)
-        locations = [x for x, _ in normalized]
+        locations = [x for x, _ in self.nodes]
+        if not real_sequence(locations):
+            raise InvalidConfiguration("node locations must be real numbers, "
+                                       "got %r" % (locations,))
+        locations = list(map(float, locations))
+        object.__setattr__(self, "nodes",
+                           tuple(zip(locations, multiplicities)))
         if len(set(locations)) != len(locations):
             raise InvalidConfiguration("node locations must be pairwise distinct")
 

@@ -1,8 +1,8 @@
 """Simultaneous root iterations with multiplicity-aware corrections.
 
 All methods are total-step: every correction of iteration k+1 is computed
-from the full k-th snapshot, so the per-root work is order-independent and
-can run concurrently.
+from the full k-th snapshot, so the per-root work (single_correction) may
+run in any order or concurrently; a sweep (_step) runs it in index order.
 
 method3   x' = x - alpha f / (f' - f Q'/((alpha+1) Q))
 method13  x' = x - f^(alpha-1) / (f^(alpha) - f^(alpha-1) Q'/(2 Q))
@@ -51,8 +51,7 @@ import math
 import numbers
 import sys
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -359,43 +358,16 @@ def single_correction(f, state, i, settings, snapshot=None):
                              fp * (at_qp[0] / (factor * q)), method)
 
 
-def parallel_corrections(f, state, settings):
-    """Corrections computed concurrently, one task per root index.
-
-    Results are gathered in index order; values are bitwise identical to
-    the sequential path because each task is a pure function of the shared
-    snapshot.
-    """
-    with ThreadPoolExecutor() as pool:
-        return _step(f, state, settings, map_=pool.map)[1]
-
-
-def _step(f, state, settings, plan=None, map_=map):
+def _step(f, state, settings, plan=None):
     """One total-step sweep: (new approximations, corrections, snapshot),
     the corrections of every root index in index order, all read from the
-    one _snapshot returned.  map_ runs single_correction over the indices:
-    the builtin map in turn, an executor's map concurrently."""
+    one _snapshot returned."""
     snapshot = _snapshot(f, state, settings, plan)
-    corrections = np.array(list(map_(
-        lambda i: single_correction(f, state, i, settings, snapshot),
-        range(len(state.approximations)))))
+    corrections = np.array([
+        single_correction(f, state, i, settings, snapshot)
+        for i in range(len(state.approximations))])
     with np.errstate(over="ignore"):  # an inf iterate ends in domain_escape
         return state.approximations - corrections, corrections, snapshot
-
-
-def step_method3(f, state, settings=None):
-    """One total-step sweep of the multiplicity-aware third-order method."""
-    return _step(f, state, _with_method(settings, "method3"))[0]
-
-
-def ehrlich_step(f, state, settings=None):
-    """One total-step sweep of the classical algebraic iteration; on the
-    monomial basis only, where the pairwise sums stand in for Q'/Q."""
-    return _step(f, state, _with_method(settings, "ehrlich"))[0]
-
-
-def _with_method(settings, method):
-    return replace(settings or SolverSettings(), method=method)
 
 
 def _final_state(f, xs, mult, plan=None, snapshot=None):

@@ -7,6 +7,7 @@ iterated from (-0.4, 2.8).
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,18 +21,15 @@ from simroots import (
     build_matrix,
     check_derivative_congruence,
     determinant,
-    ehrlich_step,
     estimate_order,
     eval_phi,
     from_roots,
     make_reference_basis,
-    parallel_corrections,
     q_derivative,
     q_value,
     richardson_derivative,
     single_correction,
     solve,
-    step_method3,
 )
 from simroots import solver
 from simroots.basis import BasisSystem, constant, exponential, power, sine
@@ -142,8 +140,9 @@ def test_03_reduction_identity_on_random_monomial_problems():
             if shortcut != direct:
                 worst_ratio = max(worst_ratio,
                                   abs(shortcut - direct) / abs(direct))
-        generalized = step_method3(f, state)
-        classical = ehrlich_step(f, state)
+        generalized = solver._step(f, state, SolverSettings())[0]
+        classical = solver._step(f, state,
+                                 SolverSettings(method="ehrlich"))[0]
         gap = np.abs(generalized - classical)
         live = gap > 0.0
         if np.any(live):
@@ -327,7 +326,11 @@ def test_10_total_step_order_and_parallel_determinism():
         shuffled = np.empty(count)
         for i in rng.permutation(count):
             shuffled[i] = single_correction(h, state, int(i), settings)
-        concurrent = parallel_corrections(h, state, settings)
+        # no shared snapshot: each task builds its own, concurrently
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = np.array(list(pool.map(
+                lambda i: single_correction(h, state, i, settings),
+                range(count))))
         ok = ok and np.array_equal(forward, backward) \
             and np.array_equal(forward, shuffled) \
             and np.array_equal(forward, concurrent) \

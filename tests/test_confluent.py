@@ -1,5 +1,8 @@
 """Node matrices, determinants, and coefficient extraction."""
 
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,26 @@ def test_root_configuration_basics():
     # integral floats are multiplicities too, stored as ints
     cfg = RootConfiguration(((-0.5, 2.0), (3.0, np.int64(2))))
     assert [(type(m), m) for m in cfg.multiplicities] == [(int, 2), (int, 2)]
+    # real locations are stored as floats, up to the largest finite float
+    # as an int
+    cfg = RootConfiguration(((-1, 1), (np.float32(0.5), 1), (np.int64(3), 1),
+                             (Fraction(1, 4), 1), (int(sys.float_info.max), 1)))
+    assert cfg.locations == (-1.0, 0.5, 3.0, 0.25, sys.float_info.max)
+    assert {type(x) for x in cfg.locations} == {float}
+
+
+@pytest.mark.parametrize("location", [
+    "0.5", True, None, 1j, 10 ** 400, -10 ** 400, Fraction(10 ** 400)],
+    ids=["str", "bool", "None", "complex", "int-above", "int-below",
+         "Fraction-above"])
+def test_root_configuration_refuses_locations_that_are_not_real_numbers(
+        location):
+    # neither parsed ("0.5"), nor read as 1.0 (True), nor let through to
+    # an OverflowError or a TypeError in float()
+    with pytest.raises(InvalidConfiguration):
+        RootConfiguration(((location, 2), (3.0, 2)))
+    with pytest.raises(InvalidConfiguration):
+        from_roots(make_reference_basis(), ((location, 2), (3.0, 2)))
 
 
 def test_root_configuration_rejects_duplicates():

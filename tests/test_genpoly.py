@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,6 +226,9 @@ def test_all_zero_coefficients_rejected():
     ["1", "2", "3", "4", "5"],
     [1j, 1, 1, 1, 1],
     [True, False, False, False, False],
+    # float() of these raises OverflowError
+    [10 ** 400, 1, 1, 1, 1],
+    [1.0, 1.0, 1.0, 1.0, Fraction(-10 ** 400)],
 ])
 def test_coefficients_that_are_not_finite_reals_rejected(coefficients):
     with pytest.raises(InvalidConfiguration):

@@ -2,6 +2,10 @@
 export, or a solver setting, is a visible one-line edit here."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import simroots
 
@@ -33,7 +37,6 @@ PUBLIC = [
     "constant",
     "cosine",
     "determinant",
-    "ehrlich_step",
     "estimate_order",
     "eval_phi",
     "eval_psi",
@@ -46,7 +49,6 @@ PUBLIC = [
     "is_monomial_basis",
     "jet_propagate",
     "make_reference_basis",
-    "parallel_corrections",
     "parse_expression",
     "power",
     "q_derivative",
@@ -55,7 +57,6 @@ PUBLIC = [
     "sine",
     "single_correction",
     "solve",
-    "step_method3",
 ]
 
 
@@ -68,3 +69,20 @@ def test_exports_are_pinned_and_resolve():
 def test_solver_settings_are_the_three_the_cli_sets():
     names = [field.name for field in dataclasses.fields(simroots.SolverSettings)]
     assert names == ["method", "tolerance", "max_iterations"]
+
+
+def test_a_fresh_import_loads_no_thread_pool():
+    # every sweep runs its corrections in turn, so neither the package nor
+    # the CLI pays for concurrent.futures (and its logging and queue) at
+    # import; the child imports the same simroots as this process
+    package_root = str(Path(simroots.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    for module in ("simroots", "simroots.cli"):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, %s; "
+             "print('concurrent.futures' in sys.modules)" % module],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n", module

@@ -8,9 +8,12 @@ reference values for this configuration.
 
 import math
 import random
+import sys
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +30,13 @@ from simroots import (
     RootConfiguration,
     SolverSettings,
     SolveStatus,
-    ehrlich_step,
     from_roots,
     is_monomial_basis,
     make_reference_basis,
-    parallel_corrections,
     q_derivative,
     q_value,
     single_correction,
     solve,
-    step_method3,
 )
 from simroots import cli, solver
 from simroots.basis import (BasisSystem, constant, cosine, exponential,
@@ -131,7 +131,7 @@ def test_simple_roots_make_both_methods_identical():
     system = _monomials(4)
     f = from_roots(system, RootConfiguration(((-1.0, 1), (0.5, 1), (2.0, 1))))
     state = IterationState(np.array([-1.1, 0.6, 1.9]), np.array([1, 1, 1]))
-    a = step_method3(f, state)
+    a = _step(f, state, SolverSettings())[0]
     b = _step(f, state, SolverSettings(method="method13"))[0]
     assert np.array_equal(a, b)
 
@@ -279,8 +279,8 @@ def test_ehrlich_on_quadratic():
     assert final == pytest.approx((1.0, -1.0), abs=1e-12)
 
     state = IterationState(np.array([0.9, -1.2]), np.array([1, 1]))
-    classical = ehrlich_step(f, state)
-    generalized = step_method3(f, state)
+    classical = _step(f, state, settings)[0]
+    generalized = _step(f, state, SolverSettings())[0]
     assert classical == pytest.approx(generalized, rel=1e-12)
 
 
@@ -289,7 +289,7 @@ def test_ehrlich_needs_monomial_basis(reference_problem):
     state = IterationState(np.array(REFERENCE_INITIAL),
                            np.array(REFERENCE_MULTIPLICITIES))
     with pytest.raises(InvalidConfiguration):
-        ehrlich_step(f, state)
+        _step(f, state, SolverSettings(method="ehrlich"))
     with pytest.raises(InvalidConfiguration):
         solve(f, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES,
               SolverSettings(method="ehrlich"))
@@ -629,10 +629,10 @@ def test_scale_invariance_of_a_single_step(reference_problem):
     system, f = reference_problem
     state = IterationState(np.array(REFERENCE_INITIAL),
                            np.array(REFERENCE_MULTIPLICITIES))
-    base = step_method3(f, state)
+    base = _step(f, state, SolverSettings())[0]
     for c in (1e-6, 1e6):
         scaled = GeneralizedPolynomial(system, c * f.coefficients)
-        stepped = step_method3(scaled, state)
+        stepped = _step(scaled, state, SolverSettings())[0]
         assert stepped == pytest.approx(base, rel=1e-13)
 
 
@@ -683,7 +683,9 @@ def test_parallel_corrections_match_sequential(reference_problem):
                            for i in range(2)])
     reversed_order = np.array([single_correction(f, state, i, settings)
                                for i in (1, 0)])[::-1]
-    concurrent = parallel_corrections(f, state, settings)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = np.array(list(pool.map(
+            lambda i: single_correction(f, state, i, settings), range(2))))
     assert np.array_equal(sequential, reversed_order)
     assert np.array_equal(sequential, concurrent)
 
@@ -705,7 +707,6 @@ def test_shared_null_vector_gives_the_same_bits(reference_problem, method):
                           for i in range(len(state.approximations))])
         assert np.all(alone != 0.0)
         assert np.array_equal(alone, _step(f, state, settings)[1])
-        assert np.array_equal(alone, parallel_corrections(f, state, settings))
 
 
 def _monomial_snapshot(multiplicities):
@@ -727,7 +728,6 @@ def test_shared_rows_give_the_same_corrections(method):
                           for i in range(len(multiplicities))])
         assert np.all(alone != 0.0)
         assert np.array_equal(alone, _step(f, state, settings)[1])
-        assert np.array_equal(alone, parallel_corrections(f, state, settings))
 
 
 def _counting(calls, name, fn):
@@ -1126,19 +1126,23 @@ def test_dimension_checks(reference_problem):
     with pytest.raises(DimensionMismatch):
         IterationState(np.array([0.0, 1.0]), np.array([1]))
     # starts no sweep can iterate: a scalar, None, a nested or 2-d array,
-    # strings, bytes, complex numbers, bools, and iterables that are no
-    # sequence (a generator, a set, a dict)
+    # strings, bytes, complex numbers, bools, iterables that are no
+    # sequence (a generator, a set, a dict), and numbers float() cannot
+    # hold (it raises OverflowError)
     for initial in (0.5, None, [[-0.4, 2.8]], np.array([[-0.4, 2.8]]),
                     ["a", "b"], ["-0.4", "2.8"], b"\x01\x02",
                     [-0.4 + 0j, 2.8], np.array([-0.4, 2.8 + 1j]), [True, 2.8],
                     np.array([True, False]), (x for x in (-0.4, 2.8)),
-                    {-0.4, 2.8}, {-0.4: 2, 2.8: 2}):
+                    {-0.4, 2.8}, {-0.4: 2, 2.8: 2}, [10 ** 400, 2.9],
+                    (-0.4, -10 ** 400), [Fraction(10 ** 400), 2.8]):
         with pytest.raises(InvalidConfiguration):
             solve(f, initial, REFERENCE_MULTIPLICITIES)
     with pytest.raises(InvalidConfiguration):
         solve(f, 0.5, [4])
-    # ints, numpy numbers and integer arrays are real starts
-    for initial in ([0, 3], (np.float32(-0.4), np.int64(3)), np.array([0, 3])):
+    # ints, numpy numbers and integer arrays are real starts, up to the
+    # largest finite float as an int
+    for initial in ([0, 3], (np.float32(-0.4), np.int64(3)), np.array([0, 3]),
+                    [-0.4, int(sys.float_info.max)]):
         solve(f, initial, REFERENCE_MULTIPLICITIES)
 
 
@@ -1178,7 +1182,6 @@ def _raised_by_every_entry_point(f, state, settings, roots=None):
                   for i in roots}
     return standalone | {
         raised(lambda: _step(f, state, settings)[1]),
-        raised(lambda: parallel_corrections(f, state, settings)),
     }
 
 
@@ -1230,7 +1233,6 @@ def test_a_held_root_does_not_read_its_infinite_q_in_any_entry_point():
         alone = [single_correction(f, state, i, settings) for i in range(2)]
         assert alone[0] == 0.0 and math.isfinite(alone[1]) and alone[1] != 0.0
         assert np.array_equal(alone, _step(f, state, settings)[1])
-        assert np.array_equal(alone, parallel_corrections(f, state, settings))
 
 
 def test_a_sweep_that_holds_every_root_still_refuses_an_infinite_block():
@@ -1312,14 +1314,12 @@ def test_the_first_failing_guard_decides_in_every_entry_point(method, row,
     f = from_roots(_monomials(2), RootConfiguration(((0.5, 1),)))
     state = IterationState(np.array([0.25]), np.array([1]))
     settings = SolverSettings(method=method)
-    # the sweeps read the same hand-built snapshot
+    # the sweep reads the same hand-built snapshot
     monkeypatch.setattr(solver, "_snapshot", lambda *args: snapshot)
     calls = {
         "single_correction": lambda: single_correction(f, state, 0, settings,
                                                        snapshot),
         "_step": lambda: _step(f, state, settings)[1][0],
-        "parallel_corrections": lambda: parallel_corrections(
-            f, state, settings)[0],
     }
     for name, call in calls.items():
         if isinstance(outcome, float):
