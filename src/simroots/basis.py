@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .confluent import finite_real, real_sequence
 from .errors import (
     DimensionMismatch,
     DivisionBySingularJet,
@@ -259,15 +260,14 @@ def constant():
     return BasisFunction("constant")
 
 
-def _exponent(s):
+def _exponent(s, name="power exponent", top=MAX_EXPONENT):
     """s as an int.  Raises InvalidConfiguration unless s is an integer
-    from 0 to MAX_EXPONENT: integral floats such as 2.0 and numpy integers
-    pass, bools and strings do not."""
+    from 0 to top: integral floats such as 2.0 and numpy integers pass,
+    bools and strings do not."""
     if isinstance(s, bool) or not isinstance(s, numbers.Real) or not (
-            0 <= s <= MAX_EXPONENT and s % 1 == 0):
-        raise InvalidConfiguration(
-            "power exponent must be an integer from 0 to %d, got %r"
-            % (MAX_EXPONENT, s))
+            0 <= s <= top and s % 1 == 0):
+        raise InvalidConfiguration("%s must be an integer from 0 to %s, "
+                                   "got %r" % (name, top, s))
     return int(s)
 
 
@@ -277,16 +277,17 @@ def power(s):
     return BasisFunction("power", s=_exponent(s))
 
 
+# the sine, cosine and exponential parameters follow confluent.finite_real
 def sine(omega):
-    return BasisFunction("sine", omega=float(omega))
+    return BasisFunction("sine", omega=finite_real(omega, "omega"))
 
 
 def cosine(omega):
-    return BasisFunction("cosine", omega=float(omega))
+    return BasisFunction("cosine", omega=finite_real(omega, "omega"))
 
 
 def exponential(rate):
-    return BasisFunction("exponential", rate=float(rate))
+    return BasisFunction("exponential", rate=finite_real(rate, "rate"))
 
 
 def inverse_quadratic():
@@ -294,9 +295,11 @@ def inverse_quadratic():
 
 
 def expression(source, derivative_cap=EXPRESSION_CAP):
-    """Build an expression-kind basis function from infix source text."""
+    """Build an expression-kind basis function from infix source text.
+    The cap is an integer from 0 up, by _exponent's rule."""
     return BasisFunction("expression", tree=parse_expression(source),
-                         derivative_cap=int(derivative_cap))
+                         derivative_cap=_exponent(
+                             derivative_cap, "derivative cap", math.inf))
 
 
 def _column(b, x, top):
@@ -368,12 +371,14 @@ class BasisSystem:
     nonsingularity is verified only at concrete node sets, when confluent
     matrices are built from them.
 
-    __post_init__ refuses a member of unknown kind or a power member whose
-    exponent power() would refuse, with InvalidConfiguration.  It also
-    plans tensor: the exponent of each power member as an int (the
-    constant is the power x^0), and the other members.  The gather
-    tables of each derivative order come from _gather, whose cache every
-    system with the same exponents shares.
+    __post_init__ refuses a domain other than two real numbers
+    (confluent.real_sequence), a member of unknown kind or a power member
+    whose exponent power() would refuse, with InvalidConfiguration, and an
+    empty domain (a NaN bound too) with DomainError.  It stores the bounds
+    as floats and plans tensor: the exponent of each power member as an
+    int (the constant is the power x^0), and the other members.  The
+    gather tables of each derivative order come from _gather, whose cache
+    every system with the same exponents shares.
     """
 
     functions: tuple
@@ -386,9 +391,13 @@ class BasisSystem:
                 "a basis system needs at least 2 functions, got %d"
                 % len(self.functions)
             )
-        lo, hi = self.domain
+        if not (real_sequence(self.domain) and len(self.domain) == 2):
+            raise InvalidConfiguration("domain must be two real numbers, "
+                                       "got %r" % (self.domain,))
+        lo, hi = map(float, self.domain)
         if not lo < hi:
             raise DomainError("empty domain (%g, %g)" % (lo, hi))
+        object.__setattr__(self, "domain", (lo, hi))
         for b in self.functions:
             if b.kind not in _KINDS:
                 raise InvalidConfiguration("unknown basis kind %r" % (b.kind,))

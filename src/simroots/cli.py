@@ -22,13 +22,8 @@ import numpy as np
 
 from . import basis as basis_mod
 from .analysis import estimate_order
-from .confluent import RootConfiguration, positive_integers
-from .errors import (
-    InsufficientHistory,
-    InvalidConfiguration,
-    ProblemFileError,
-    SimrootsError,
-)
+from .confluent import RootConfiguration, finite_real, positive_integers
+from .errors import InsufficientHistory, ProblemFileError, SimrootsError
 from .genpoly import GeneralizedPolynomial, from_roots
 from .solver import (
     SolverSettings,
@@ -60,14 +55,13 @@ def _fail(field, message):
     raise ProblemFileError("field %r: %s" % (field, message))
 
 
-def _require_number(field, value):
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:
-            pass  # an integer beyond the float range
-    _fail(field, "expected a finite number, got %r" % (value,))
+def _reported(field, build, *args, index=None, **kwargs):
+    """build(*args, **kwargs), a library refusal (SimrootsError or
+    OverflowError) reported as field's, after "entry i: " for index i."""
+    try:
+        return build(*args, **kwargs)
+    except (SimrootsError, OverflowError) as exc:
+        _fail(field, exc if index is None else "entry %d: %s" % (index, exc))
 
 
 def _parse_domain(raw):
@@ -75,12 +69,15 @@ def _parse_domain(raw):
         return (-math.inf, math.inf), [None, None]
     if not isinstance(raw, list) or len(raw) != 2:
         _fail("domain", "expected [low, high] with null for an open end")
-    lo = -math.inf if raw[0] is None else _require_number("domain", raw[0])
-    hi = math.inf if raw[1] is None else _require_number("domain", raw[1])
-    if not lo < hi:
-        _fail("domain", "low bound %g is not below high bound %g" % (lo, hi))
-    return (lo, hi), [raw[0] if raw[0] is None else lo,
-                      raw[1] if raw[1] is None else hi]
+    bounds = [None if bound is None else _reported(
+        "domain", finite_real, bound, "domain bound") for bound in raw]
+    return (-math.inf if bounds[0] is None else bounds[0],
+            math.inf if bounds[1] is None else bounds[1]), bounds
+
+
+# kind: (the key of its parameter in a problem file, the member's attribute)
+_PARAMETERS = {"power": ("s", "s"), "sine": ("omega", "omega"),
+               "cosine": ("omega", "omega"), "exponential": ("lambda", "rate")}
 
 
 def _parse_basis_entry(entry, index, cap):
@@ -89,32 +86,19 @@ def _parse_basis_entry(entry, index, cap):
     kind = entry["kind"]
     if kind == "constant":
         return basis_mod.constant(), {"kind": "constant"}
-    if kind == "power":
-        try:
-            member = basis_mod.power(entry.get("s"))
-        except SimrootsError as exc:
-            _fail("basis", "entry %d: %s" % (index, exc))
-        return member, {"kind": "power", "s": member.s}
-    if kind == "sine":
-        omega = _require_number("basis", entry.get("omega"))
-        return basis_mod.sine(omega), {"kind": "sine", "omega": omega}
-    if kind == "cosine":
-        omega = _require_number("basis", entry.get("omega"))
-        return basis_mod.cosine(omega), {"kind": "cosine", "omega": omega}
-    if kind == "exponential":
-        rate = _require_number("basis", entry.get("lambda"))
-        return basis_mod.exponential(rate), {"kind": "exponential", "lambda": rate}
+    if kind in _PARAMETERS:
+        key, attribute = _PARAMETERS[kind]
+        member = _reported("basis", getattr(basis_mod, kind), entry.get(key),
+                           index=index)
+        return member, {"kind": kind, key: getattr(member, attribute)}
     if kind == "inverse-quadratic":
         return basis_mod.inverse_quadratic(), {"kind": "inverse-quadratic"}
     if kind in ("expr", "expression"):
         tree = entry.get("tree")
         if not isinstance(tree, str):
             _fail("basis", "entry %d: expr needs a 'tree' string" % index)
-        try:
-            member = basis_mod.expression(tree, derivative_cap=cap)
-        except SimrootsError as exc:
-            _fail("basis", "entry %d: %s" % (index, exc))
-        return member, {"kind": "expr", "tree": tree}
+        return (_reported("basis", basis_mod.expression, tree, cap,
+                          index=index), {"kind": "expr", "tree": tree})
     _fail("basis", "entry %d: unknown kind %r" % (index, kind))
 
 
@@ -136,10 +120,8 @@ def load_problem(path):
     multiplicities = doc.get("multiplicities")
     if not isinstance(multiplicities, list) or not multiplicities:
         _fail("multiplicities", "expected a nonempty list of positive integers")
-    try:
-        multiplicities = positive_integers(multiplicities)
-    except InvalidConfiguration as exc:
-        _fail("multiplicities", str(exc))
+    multiplicities = _reported("multiplicities", positive_integers,
+                               multiplicities)
 
     # diagnostics touch derivatives up to alpha + 2
     cap = max(8, max(multiplicities) + 2)
@@ -155,7 +137,7 @@ def load_problem(path):
         normalized_basis.append(canon)
 
     domain, normalized_domain = _parse_domain(doc.get("domain"))
-    system = basis_mod.BasisSystem(tuple(members), domain)
+    system = _reported("domain", basis_mod.BasisSystem, tuple(members), domain)
 
     n = len(system) - 1
     if sum(multiplicities) != n:
@@ -166,7 +148,8 @@ def load_problem(path):
     initial = doc.get("initial")
     if not isinstance(initial, list) or len(initial) != len(multiplicities):
         _fail("initial", "expected a list matching 'multiplicities' in length")
-    initial = [_require_number("initial", v) for v in initial]
+    initial = [_reported("initial", finite_real, v, "initial approximation")
+               for v in initial]
 
     poly = doc.get("polynomial")
     if not isinstance(poly, dict) or ("coefficients" in poly) == ("roots" in poly):
@@ -176,12 +159,8 @@ def load_problem(path):
         coeffs = poly["coefficients"]
         if not isinstance(coeffs, list) or len(coeffs) != len(system):
             _fail("polynomial", "'coefficients' must list %d numbers" % len(system))
-        coeffs = [_require_number("polynomial", v) for v in coeffs]
-        try:
-            f = GeneralizedPolynomial(system, np.array(coeffs))
-        except SimrootsError as exc:
-            _fail("polynomial", str(exc))
-        normalized_poly = {"coefficients": coeffs}
+        f = _reported("polynomial", GeneralizedPolynomial, system, coeffs)
+        normalized_poly = {"coefficients": f.coefficients.tolist()}
     else:
         roots = poly["roots"]
         if not isinstance(roots, list) or not roots:
@@ -191,13 +170,9 @@ def load_problem(path):
             if not isinstance(entry, dict) or "x" not in entry \
                     or "multiplicity" not in entry:
                 _fail("polynomial", "each root needs 'x' and 'multiplicity'")
-            pairs.append((_require_number("polynomial", entry["x"]),
-                          entry["multiplicity"]))
-        try:
-            true_roots = RootConfiguration(tuple(pairs))
-            f = from_roots(system, true_roots)
-        except (SimrootsError, OverflowError) as exc:
-            _fail("polynomial", str(exc))
+            pairs.append((entry["x"], entry["multiplicity"]))
+        true_roots = _reported("polynomial", RootConfiguration, tuple(pairs))
+        f = _reported("polynomial", from_roots, system, true_roots)
         normalized_poly = {"roots": [{"x": x, "multiplicity": m}
                                      for x, m in true_roots.nodes]}
 
@@ -205,10 +180,7 @@ def load_problem(path):
     if not isinstance(methods, list) or not methods:
         _fail("methods", "expected a nonempty list")
     for m in methods:
-        try:
-            SolverSettings(method=m)
-        except InvalidConfiguration as exc:
-            _fail("methods", str(exc))
+        _reported("methods", SolverSettings, method=m)
     if len(set(methods)) != len(methods):
         _fail("methods", "duplicate entries")
     if "ehrlich" in methods and not is_monomial_basis(system):
@@ -222,10 +194,7 @@ def load_problem(path):
         if key not in settings:
             _fail("settings", "unknown key %r" % (key,))
         settings[key] = value
-    try:
-        checked = SolverSettings(**settings)
-    except InvalidConfiguration as exc:
-        _fail("settings", str(exc))
+    checked = _reported("settings", SolverSettings, **settings)
 
     normalized = {
         "basis": normalized_basis,

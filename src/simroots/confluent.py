@@ -39,14 +39,16 @@ def real_sequence(values):
     float() cannot hold (it raises OverflowError) are not."""
     if isinstance(values, np.ndarray):
         return values.ndim == 1 and values.dtype.kind in "iuf"
-    if not isinstance(values, Sequence) or isinstance(values, (bytes, bytearray)):
+    # lists, tuples and all-float sequences skip the ABC checks
+    if not isinstance(values, (list, tuple, Sequence)) or isinstance(
+            values, (bytes, bytearray)):
         return False
     kinds = set(map(type, values))
+    if kinds <= {float}:
+        return True
     if not all(issubclass(kind, numbers.Real) and not issubclass(kind, bool)
                for kind in kinds):
         return False
-    if kinds <= {float}:
-        return True
     try:  # float() of an int or a Fraction beyond the float range raises
         list(map(float, values))
     except OverflowError:
@@ -64,6 +66,20 @@ def positive_integers(multiplicities):
         return [int(m) for m in multiplicities]
     raise InvalidConfiguration("multiplicities must be positive integers "
                                "below 2^53, got %r" % (multiplicities,))
+
+
+def finite_real(value, name):
+    """value as a float.  Raises InvalidConfiguration unless it is a
+    numbers.Real other than bool that float() holds, and finite."""
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(
+            value, bool):  # float and int skip the numbers.Real ABC check
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise InvalidConfiguration("%s must be a finite real number, got %r"
+                               % (name, value))
 
 
 @dataclass(frozen=True)

@@ -48,16 +48,14 @@ every root, from its row sums or its tensor, not from the basis again.
 """
 
 import math
-import numbers
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .confluent import (_row_maxima, node_null_vector, node_rows,
-                        positive_integers, real_sequence)
+from .confluent import (_row_maxima, finite_real, node_null_vector,
+                        node_rows, positive_integers, real_sequence)
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -110,11 +108,11 @@ class SolverSettings:
             raise InvalidConfiguration(
                 "unknown method %r (known: %s)"
                 % (self.method, ", ".join(METHODS)))
-        if isinstance(self.tolerance, bool) or not isinstance(
-                self.tolerance, numbers.Real) or not (
-                0.0 < self.tolerance <= sys.float_info.max):
-            raise InvalidConfiguration("tolerance must be positive and finite")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        tolerance = finite_real(self.tolerance, "tolerance")
+        if not tolerance > 0.0:
+            raise InvalidConfiguration("tolerance must be positive, got %r"
+                                       % (tolerance,))
+        object.__setattr__(self, "tolerance", tolerance)
         if isinstance(self.max_iterations, bool) or not isinstance(
                 self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise InvalidConfiguration("max_iterations must be a positive integer")

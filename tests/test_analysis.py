@@ -198,6 +198,14 @@ def test_estimate_order_insufficient_history():
         estimate_order(stalled, (0.5,))
 
 
+def test_estimate_order_needs_a_decreasing_error_pair_below_one():
+    # three errors above the floor, but none below 1 and falling
+    with pytest.raises(InsufficientHistory, match="no usable decreasing"):
+        estimate_order([(1.1,), (1.2,), (1.3,)], (0.0,))
+    with pytest.raises(InsufficientHistory, match="no usable decreasing"):
+        estimate_order([(0.1,), (0.2,), (0.3,)], (0.0,))
+
+
 @pytest.mark.parametrize("true_roots", [(0.0, 1.0, 2.0), (0.0,)])
 def test_estimate_order_rejects_a_root_count_unlike_the_history(true_roots):
     history = [(0.1 ** (2 ** k), 1.0 + 0.1 ** (2 ** k)) for k in range(5)]

@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,11 @@ def test_constant_and_cosine_and_exponential():
     assert eval_basis(cosine(2.0), 0.0, 1) == pytest.approx(0.0, abs=1e-15)
     assert eval_basis(cosine(2.0), 0.0, 2) == pytest.approx(-4.0, rel=1e-14)
     assert eval_basis(exponential(-1.0), 0.0, 1) == pytest.approx(-1.0, rel=1e-14)
+    # any finite real parameter is stored as a float
+    for value in (3, 3.0, np.float64(3.0), np.int64(3), Fraction(3)):
+        assert sine(value).omega == cosine(value).omega == 3.0
+        assert type(sine(value).omega) is float
+        assert type(exponential(value).rate) is float
 
 
 def _fd_check(b, points, orders, h=1e-4):
@@ -422,10 +428,31 @@ def test_power_exponent_is_a_nonnegative_integer(s):
                               [1.5, -3.0], 3))
 
 
+@pytest.mark.parametrize("constructor", [sine, cosine, exponential])
+@pytest.mark.parametrize("value", [
+    True, "3", None, 1j, math.nan, math.inf, -math.inf,
+    pytest.param(10 ** 400, id="10**400")])
+def test_catalog_parameters_are_finite_reals(constructor, value):
+    with pytest.raises(InvalidConfiguration, match="finite real number"):
+        constructor(value)
+
+
 def test_expression_cap_enforced():
     b = expression("sin(x)", derivative_cap=4)
     with pytest.raises(OrderExceedsCap):
         eval_basis(b, 0.0, 5)
+    for cap in (2, 2.0, np.int64(2)):
+        member = expression("x*x", derivative_cap=cap)
+        assert member.derivative_cap == 2
+        assert type(member.derivative_cap) is int
+    assert expression("x", derivative_cap=0).derivative_cap == 0
+
+
+@pytest.mark.parametrize("cap", [2.7, "8", True, -1, None, math.nan,
+                                 math.inf])
+def test_expression_cap_is_a_nonnegative_integer(cap):
+    with pytest.raises(InvalidConfiguration, match="derivative cap"):
+        expression("x*x", derivative_cap=cap)
 
 
 def test_system_domain_checked_on_eval():
@@ -452,6 +479,27 @@ def test_system_rejects_unknown_kinds():
 def test_system_rejects_empty_domain():
     with pytest.raises(DomainError):
         BasisSystem((constant(), power(1)), domain=(2.0, 2.0))
+    # a NaN bound makes every point fail lo < x < hi
+    with pytest.raises(DomainError):
+        BasisSystem((constant(), power(1)), domain=(math.nan, 1.0))
+
+
+@pytest.mark.parametrize("domain", [
+    ("0", "1"), (True, 2), (0, 1, 2), (0,), None, 1.0, (0, 1j),
+    pytest.param((0, 10 ** 400), id="10**400"), [[0, 1]]])
+def test_system_domain_is_two_real_numbers(domain):
+    with pytest.raises(InvalidConfiguration, match="domain"):
+        BasisSystem((constant(), power(1)), domain=domain)
+
+
+def test_system_domain_is_stored_as_floats():
+    for domain in ((0, 1), [0, 1], np.array([0, 1]), (np.int64(0), 1.0)):
+        system = BasisSystem((constant(), power(1)), domain=domain)
+        assert system.domain == (0.0, 1.0)
+        assert all(type(bound) is float for bound in system.domain)
+    # the infinities stay allowed, for open ends
+    assert BasisSystem((constant(), power(1)),
+                       domain=(-math.inf, 0)).domain == (-math.inf, 0.0)
 
 
 def test_system_cap_is_minimum_over_members():

@@ -172,6 +172,18 @@ def test_compare_needs_at_least_two_methods(tmp_path, capsys):
     assert "methods" in capsys.readouterr().err
 
 
+def test_compare_exits_2_when_a_method_does_not_converge(tmp_path, capsys):
+    doc = dict(REFERENCE_PROBLEM, settings={"max_iterations": 1})
+    problem = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["compare", str(problem), "--out", str(out)]) == 2
+    assert "method3: max_iterations after 1 iterations" in (
+        capsys.readouterr().out)
+    _, rows = _read_rows(out / "problem.compare.csv")
+    # no two methods converged, so there is no agreement to report
+    assert rows[-1] == ["agreement", "", "", "", ""]
+
+
 def test_compare_classical_against_generalized(tmp_path):
     doc = {
         "basis": [
@@ -217,6 +229,17 @@ def test_coefficient_polynomials_run_without_root_records(tmp_path, capsys):
     assert float(rows[-1][2]) == pytest.approx(-1.0, abs=1e-11)
     summary = (out / "problem.summary.txt").read_text(encoding="utf-8")
     assert "order estimates: unavailable (true roots not given)" in summary
+
+
+def test_summary_says_why_order_estimates_are_unavailable(tmp_path):
+    # starting on the true roots leaves no error above the rounding floor
+    doc = dict(REFERENCE_PROBLEM, initial=[-0.5, 3.0], methods=["method3"])
+    problem = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(problem), "--out", str(out)]) == 0
+    summary = (out / "problem.summary.txt").read_text(encoding="utf-8")
+    assert ("order estimates: unavailable (root 0 has only 0 errors above "
+            "the rounding floor)") in summary
 
 
 def test_expression_basis_matches_the_builtin_member(tmp_path):
@@ -300,6 +323,60 @@ def test_rejection_messages_name_the_field(tmp_path, capsys):
             polynomial={"roots": [{"x": 1, "multiplicity": 1},
                                   {"x": 2, "multiplicity": 1}]},
             initial=[0.9, 2.1], multiplicities=[1, 1])),
+        ("domain", dict(REFERENCE_PROBLEM, domain="open")),
+        ("domain", dict(REFERENCE_PROBLEM, domain=[1, None, 2])),
+        ("domain", dict(REFERENCE_PROBLEM, domain=[1, 0])),
+        ("domain", dict(REFERENCE_PROBLEM, domain=["0", 1])),
+        ("domain", dict(REFERENCE_PROBLEM, domain=[None, float("inf")])),
+        ("basis", dict(REFERENCE_PROBLEM, basis=[{"kind": "constant"}, 3])),
+        ("basis", dict(REFERENCE_PROBLEM, basis=[
+            {"kind": "constant"}, {"s": 1}])),
+        ("basis", dict(REFERENCE_PROBLEM, basis=[
+            {"kind": "constant"}, {"kind": "expr"}])),
+        ("basis", dict(REFERENCE_PROBLEM, basis=[{"kind": "constant"}])),
+        ("basis", dict(REFERENCE_PROBLEM, basis={"kind": "constant"})),
+        ("basis", dict(REFERENCE_PROBLEM, basis=[
+            {"kind": "constant"}, {"kind": "power", "s": 1},
+            {"kind": "sine", "omega": True}, {"kind": "power", "s": 3},
+            {"kind": "power", "s": 4}])),
+        ("basis", dict(REFERENCE_PROBLEM, basis=[
+            {"kind": "constant"}, {"kind": "power", "s": 1},
+            {"kind": "cosine"}, {"kind": "power", "s": 3},
+            {"kind": "power", "s": 4}])),
+        ("basis", dict(REFERENCE_PROBLEM, basis=[
+            {"kind": "constant"}, {"kind": "power", "s": 1},
+            {"kind": "exponential", "lambda": "3"}, {"kind": "power", "s": 3},
+            {"kind": "power", "s": 4}])),
+        # the problem file is not an object, so no field is named
+        ("must hold a JSON object", [REFERENCE_PROBLEM]),
+        ("multiplicities", dict(REFERENCE_PROBLEM, multiplicities=2)),
+        ("multiplicities", dict(REFERENCE_PROBLEM, multiplicities=[])),
+        ("multiplicities", dict(REFERENCE_PROBLEM, multiplicities=[1, 2])),
+        ("initial", dict(REFERENCE_PROBLEM, initial=[-0.4, "2.8"])),
+        ("initial", dict(REFERENCE_PROBLEM, initial=[-0.4, True])),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={
+            "coefficients": [1, 1, 1, 1]})),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={
+            "coefficients": [0, 0, 0, 0, 0]})),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={
+            "coefficients": [1, 1, True, 1, 1]})),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={
+            "coefficients": [1, 1, 10 ** 400, 1, 1]})),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={"roots": []})),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={
+            "roots": [{"x": -0.5}, {"x": 3, "multiplicity": 2}]})),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={
+            "roots": [{"x": "-0.5", "multiplicity": 2},
+                      {"x": 3, "multiplicity": 2}]})),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={
+            "roots": [{"x": float("nan"), "multiplicity": 2},
+                      {"x": 3, "multiplicity": 2}]})),
+        ("polynomial", dict(REFERENCE_PROBLEM, polynomial={
+            "roots": [{"x": 10 ** 400, "multiplicity": 2},
+                      {"x": 3, "multiplicity": 2}]})),
+        ("methods", dict(REFERENCE_PROBLEM, methods=[])),
+        ("methods", dict(REFERENCE_PROBLEM, methods=["method3", "method3"])),
+        ("settings", dict(REFERENCE_PROBLEM, settings="fast")),
     ]
     for field, doc in cases:
         problem = _write_problem(tmp_path, doc)
@@ -342,6 +419,31 @@ def test_an_unwritable_output_is_one_error_line(tmp_path, capsys):
             assert main([command, str(problem), "--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_basis_refusals_name_the_entry(tmp_path):
+    # the constructor's own refusal, after the index of the entry
+    for member, message in [
+            ({"kind": "power", "s": 2.5}, "power exponent"),
+            ({"kind": "sine", "omega": True}, "omega must be a finite"),
+            ({"kind": "cosine", "omega": float("nan")}, "omega must be a"),
+            ({"kind": "exponential", "lambda": "3"}, "rate must be a finite"),
+            ({"kind": "expr", "tree": "x**2"}, "unexpected character")]:
+        basis = list(REFERENCE_PROBLEM["basis"])
+        basis[2] = member
+        path = _write_problem(tmp_path, dict(REFERENCE_PROBLEM, basis=basis))
+        with pytest.raises(ProblemFileError,
+                           match="^field 'basis': entry 2: " + message):
+            load_problem(path)
+
+
+def test_normalized_coefficients_are_floats(tmp_path):
+    doc = dict(REFERENCE_PROBLEM, polynomial={
+        "coefficients": [1, -2, 0.5, 3, 10 ** 20]})
+    problem = load_problem(_write_problem(tmp_path, doc))
+    coefficients = problem.normalized["polynomial"]["coefficients"]
+    assert coefficients == [1.0, -2.0, 0.5, 3.0, 1e20]
+    assert all(type(c) is float for c in coefficients)
 
 
 def test_load_problem_returns_the_parsed_pieces(tmp_path):

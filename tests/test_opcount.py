@@ -1,5 +1,6 @@
 """tools/opcount.py: work counts that repeat exactly from run to run."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,3 +40,25 @@ def test_lapack_calls_are_counted_by_function_and_shape(monkeypatch):
     for column in (0, 1):
         steps = [b[column] - a[column] for a, b in zip(runs, runs[1:])]
         assert steps[0] == steps[1] > 0
+
+
+def test_counts_restores_the_callers_tracer_and_profiler(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from opcount import counts
+
+    def tracer(frame, event, arg):
+        return None
+
+    def profiler(frame, event, arg):
+        pass
+
+    caller = sys.gettrace(), sys.getprofile()
+    sys.settrace(tracer)
+    sys.setprofile(profiler)
+    try:
+        counts(lambda: None)
+        restored = sys.gettrace(), sys.getprofile()
+    finally:
+        sys.settrace(caller[0])
+        sys.setprofile(caller[1])
+    assert restored == (tracer, profiler)

@@ -53,7 +53,8 @@ LAPACK = ("svd", "lstsq", "det")
 
 
 def counts(op):
-    """(bytecodes, C calls, Counter of (LAPACK function, shape)) of op()."""
+    """(bytecodes, C calls, Counter of (LAPACK function, shape)) of op().
+    The caller's tracer and profiler are restored afterwards."""
     codes = {inspect.unwrap(getattr(np.linalg, name)).__code__: name
              for name in LAPACK}
     lapack = Counter()
@@ -76,13 +77,14 @@ def counts(op):
         if event == "c_call":
             tally[1] += 1
 
+    caller = sys.gettrace(), sys.getprofile()
     sys.setprofile(profile)
     sys.settrace(call)
     try:
         op()
     finally:
-        sys.settrace(None)
-        sys.setprofile(None)
+        sys.settrace(caller[0])
+        sys.setprofile(caller[1])
     return tally[0], tally[1], lapack
 
 
