@@ -372,13 +372,13 @@ class BasisSystem:
     matrices are built from them.
 
     __post_init__ refuses a domain other than two real numbers
-    (confluent.real_sequence), a member of unknown kind or a power member
-    whose exponent power() would refuse, with InvalidConfiguration, and an
-    empty domain (a NaN bound too) with DomainError.  It stores the bounds
-    as floats and plans tensor: the exponent of each power member as an
-    int (the constant is the power x^0), and the other members.  The
-    gather tables of each derivative order come from _gather, whose cache
-    every system with the same exponents shares.
+    (confluent.real_sequence), a member of unknown kind, a power exponent
+    power() would refuse or a derivative cap expression() would refuse, with
+    InvalidConfiguration, and an empty domain (a NaN bound too) with
+    DomainError.  It stores the bounds as floats and plans tensor: the
+    exponent of each power member as an int (the constant is the power x^0),
+    and the other members.  The gather tables of each derivative order come
+    from _gather, whose cache every system with the same exponents shares.
     """
 
     functions: tuple
@@ -406,7 +406,8 @@ class BasisSystem:
                           for b in self.functions)
         table_size = max((s for s in exponents if s is not None), default=0) + 1
         for name, value in (
-                ("_cap", min(b.derivative_cap for b in self.functions)),
+                ("_cap", min(_exponent(b.derivative_cap, "derivative cap",
+                                       math.inf) for b in self.functions)),
                 ("_exponents", exponents),
                 ("_table_size", table_size),
                 ("_orders", np.arange(table_size, dtype=float)),

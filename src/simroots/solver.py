@@ -39,9 +39,9 @@ limit and a gap no larger (_check_collisions).  NaN is left out of the
 sort, since it has no place in the order and collides with nothing.
 
 So a sweep and the checks on its result are pure functions of the
-approximations, and solve replays the sweeps after an accepted state
-repeats the bytes of an earlier one instead of recomputing them.  For the
-same reason a sweep (_step) returns the snapshot it read, tensor
+approximations, and solve stops (stalled) once an accepted state repeats
+the bytes of an earlier one: no later sweep could give anything new.
+For the same reason a sweep (_step) returns the snapshot it read, tensor
 included, and _final_state, the one reader of a solve's end state, reads
 the residuals at the bytes of that snapshot, as after a sweep that held
 every root, from its row sums or its tensor, not from the basis again.
@@ -92,6 +92,7 @@ METHODS = ("method3", "method13", "ehrlich")
 class SolveStatus(Enum):
     converged = "converged"
     max_iterations = "max_iterations"
+    stalled = "stalled"
     degenerate_denominator = "degenerate_denominator"
     iterate_collision = "iterate_collision"
     domain_escape = "domain_escape"
@@ -427,21 +428,19 @@ def _accepted(approximations, multiplicities, k, corrections):
 
 def solve(f, initial, multiplicities, settings=None):
     """Iterate the selected method until the largest correction falls
-    below tolerance, the iteration budget runs out, or a guard fires.
+    below tolerance, a state repeats, the budget runs out or a guard fires.
 
     Guards never raise out of this function; they land in report.status.
     Inputs no sweep can iterate raise DimensionMismatch or
     InvalidConfiguration (see IterationState and _check_inputs), checked
     once for the _plan all sweeps read.  The report history includes the
-    initial snapshot, so its length is iterations_used + 1.  Once state k
-    has the approximation bytes of an earlier state j (bytes keep -0.0
-    apart from 0.0), state k + i would repeat state j + i, checks and all,
-    until the budget runs out; those states are copied from the history,
-    neither computed nor validated again.  The convergence check and the
-    final residuals read the snapshot the last computed sweep returned
-    when the iterates did not move in that sweep (their bytes are those
-    of the snapshot), and build a fresh tensor otherwise, as after a
-    sweep that raised a guard (_final_state).
+    initial snapshot, so its length is iterations_used + 1.  A state with
+    the approximation bytes of an earlier one (-0.0 is not 0.0) ends the
+    solve as stalled, even at the budget: every later sweep would repeat one
+    before it.  The convergence check and the final residuals read the
+    snapshot the last computed sweep returned when the iterates did not move
+    in that sweep (their bytes are those of the snapshot), and build a fresh
+    tensor otherwise, as after a sweep that raised a guard (_final_state).
     """
     settings = settings or SolverSettings()
     state = IterationState(initial, multiplicities)
@@ -449,26 +448,19 @@ def solve(f, initial, multiplicities, settings=None):
     plan = _plan(f, mult, settings)
     history = [state]
     status = residuals = summed = None
-    seen = {}  # approximations.tobytes() -> k of every accepted state
+    seen = set()  # approximations.tobytes() of every accepted state
     swept = snapshot = None  # bytes and snapshot of the last computed sweep
 
     if not all(map(f.basis.contains, state.approximations.tolist())):
         status = SolveStatus.domain_escape
 
     while status is None:
-        if state.k >= settings.max_iterations:
-            status = SolveStatus.max_iterations
-            break
         key = state.approximations.tobytes()
-        period = state.k - seen.setdefault(key, state.k)
-        if period:
-            # state k repeats state k - period: every later sweep repeats
-            # the one period sweeps before it, checks and all
-            while len(history) <= settings.max_iterations:
-                source = history[len(history) - period]
-                history.append(_accepted(
-                    source.approximations.copy(), mult, len(history),
-                    source.last_corrections.copy()))
+        if key in seen:
+            status = SolveStatus.stalled
+            break
+        seen.add(key)
+        if state.k >= settings.max_iterations:
             status = SolveStatus.max_iterations
             break
         try:
@@ -496,8 +488,6 @@ def solve(f, initial, multiplicities, settings=None):
             if passes:
                 status = SolveStatus.converged
                 break
-            # frozen at a point that is not a root of the claimed
-            # multiplicities; keep stepping until the budget runs out
 
     final = history[-1]
     at = final.approximations.tobytes()

@@ -1,8 +1,10 @@
-"""The solve loop without cycle replay: one computed sweep per iteration.
+"""The solve loop that computes every sweep, repeated snapshots included.
 
-`solve` replays the sweeps after its iterates repeat an earlier snapshot
-bit for bit; this loop computes every one of them with `_step`, so the two
-must give the same report.  Tests compare them on fixed and fuzzed problems.
+`solve` stops as `stalled` at the first state whose approximations repeat
+the bytes of an earlier state; this loop computes every sweep with `_step`
+until it converges, a guard fires or the budget runs out.  So `solve`
+must give this loop's report cut at its first repeated state
+(`cut_at_first_repeat`).  Tests compare them on fixed and fuzzed problems.
 """
 
 import numpy as np
@@ -66,3 +68,29 @@ def report_bytes(report):
               for s in report.history]
     return (report.status, report.iterations_used,
             np.array(report.final_residuals, dtype=float).tobytes(), states)
+
+
+def first_repeat(history):
+    """(j, k) for the first state k whose approximation bytes repeat those
+    of an earlier state j, or None when no state repeats."""
+    seen = {}
+    for state in history:
+        j = seen.setdefault(state.approximations.tobytes(), state.k)
+        if j != state.k:
+            return j, state.k
+    return None
+
+
+def cut_at_first_repeat(f, report):
+    """The report `solve` gives where this loop gave `report`: its history
+    up to the first repeated state k, status stalled, iterations_used k and
+    fresh residuals at state k.  A report with no repeat, or one that
+    converges at the repeat itself, is returned as it is."""
+    repeat = first_repeat(report.history)
+    if repeat is None or (report.status is SolveStatus.converged
+                          and report.iterations_used == repeat[1]):
+        return report
+    history = report.history[:repeat[1] + 1]
+    residuals, _ = solver._final_state(f, history[-1].approximations,
+                                       history[-1].multiplicities)
+    return SolveReport(history, SolveStatus.stalled, repeat[1], residuals)

@@ -455,6 +455,14 @@ def test_expression_cap_is_a_nonnegative_integer(cap):
         expression("x*x", derivative_cap=cap)
 
 
+@pytest.mark.parametrize("cap", [2.7, "8", True, -1, None, math.nan])
+def test_system_checks_the_cap_of_a_hand_built_member(cap):
+    # a member built without expression() reaches the system unchecked
+    member = BasisFunction("expression", tree=("x",), derivative_cap=cap)
+    with pytest.raises(InvalidConfiguration, match="derivative cap"):
+        BasisSystem((constant(), member))
+
+
 def test_system_domain_checked_on_eval():
     system = BasisSystem((constant(), power(1)), domain=(0.0, 1.0))
     assert system.eval(1, 0.5, 0) == 0.5
@@ -505,6 +513,8 @@ def test_system_domain_is_stored_as_floats():
 def test_system_cap_is_minimum_over_members():
     system = BasisSystem((constant(), expression("x*x", derivative_cap=3)))
     assert system.derivative_cap == 3
+    member = BasisFunction("expression", tree=("x",), derivative_cap=2.0)
+    assert type(BasisSystem((constant(), member)).derivative_cap) is int
 
 
 def test_reference_system():

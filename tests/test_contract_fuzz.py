@@ -8,9 +8,11 @@ leave the float range, and starts anywhere in [-1e308, 1e308]:
   (DimensionMismatch, InvalidConfiguration);
 - single_correction, called alone, and the corrections of the sweep _step
   agree bitwise on every drawn snapshot, or raise the same exception;
-- solve, which replays the sweeps after a repeated snapshot, gives the
-  report of the loop that computes every sweep, bit for bit, or raises the
-  same input error.
+- solve gives the report of the loop that computes every sweep, cut at
+  its first repeated snapshot, bit for bit, or raises the same input
+  error; a report other than converged is stalled exactly when its last
+  state repeats an earlier one, and max_iterations spends the budget on
+  states that all differ.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
@@ -27,6 +29,7 @@ from simroots import (
     IterationState,
     SolveReport,
     SolverSettings,
+    SolveStatus,
     single_correction,
     solve,
 )
@@ -34,7 +37,8 @@ from simroots.basis import (BasisSystem, constant, cosine, exponential,
                             inverse_quadratic, power, sine)
 from simroots.solver import METHODS, _step
 
-from reference_loop import reference_solve, report_bytes
+from reference_loop import (cut_at_first_repeat, first_repeat,
+                            reference_solve, report_bytes)
 
 # no deadline or speed health check: timings vary with the host's load
 FUZZ = settings(derandomize=True, database=None, max_examples=100,
@@ -126,10 +130,19 @@ def test_standalone_and_swept_corrections_agree(problem):
 def test_solve_matches_the_loop_that_computes_every_sweep(problem, budget):
     f, initial, multiplicities, solver_settings = problem
     solver_settings = replace(solver_settings, max_iterations=budget)
-    expected = _outcome(lambda: report_bytes(reference_solve(
-        f, initial, multiplicities, solver_settings)))
-    got = _outcome(lambda: report_bytes(solve(
-        f, initial, multiplicities, solver_settings)))
+    expected = _outcome(lambda: reference_solve(
+        f, initial, multiplicities, solver_settings))
+    got = _outcome(lambda: solve(f, initial, multiplicities, solver_settings))
     if isinstance(expected, type):
         assert expected in (DimensionMismatch, InvalidConfiguration)
-    assert got == expected
+        assert got is expected
+        return
+    assert report_bytes(got) == report_bytes(cut_at_first_repeat(f, expected))
+    repeat = first_repeat(got.history)
+    # only the last state may repeat an earlier one; a solve may also
+    # converge there, as when a sweep holds every root at a root
+    assert repeat is None or repeat[1] == got.iterations_used
+    if got.status is not SolveStatus.converged:
+        assert (repeat is not None) is (got.status is SolveStatus.stalled)
+    if got.status is SolveStatus.max_iterations:
+        assert got.iterations_used == budget

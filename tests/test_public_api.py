@@ -1,5 +1,6 @@
 """The package's public surface, pinned so that adding or removing an
-export, or a solver setting, is a visible one-line edit here."""
+export, a solver setting or a solve status is a visible one-line edit
+here."""
 
 import dataclasses
 import os
@@ -69,6 +70,12 @@ def test_exports_are_pinned_and_resolve():
 def test_solver_settings_are_the_three_the_cli_sets():
     names = [field.name for field in dataclasses.fields(simroots.SolverSettings)]
     assert names == ["method", "tolerance", "max_iterations"]
+
+
+def test_solve_statuses_are_pinned():
+    assert [status.value for status in simroots.SolveStatus] == [
+        "converged", "max_iterations", "stalled", "degenerate_denominator",
+        "iterate_collision", "domain_escape"]
 
 
 def test_a_fresh_import_loads_no_thread_pool():

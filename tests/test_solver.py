@@ -45,7 +45,8 @@ from simroots.confluent import (_node_block, node_null_vector, node_rows,
                                 positive_integers)
 from simroots.solver import METHODS, _step
 
-from reference_loop import reference_solve, report_bytes
+from reference_loop import (cut_at_first_repeat, first_repeat,
+                            reference_solve, report_bytes)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -496,10 +497,12 @@ def test_wrong_multiplicity_claim_never_converges():
     system = _monomials(4)
     f = from_roots(system, RootConfiguration(((0.0, 1), (1.0, 1), (2.0, 1))))
     # x = 0 is a simple root claimed double: the residual check must
-    # refuse convergence even though the corrections are zero there
+    # refuse convergence even though the corrections are zero there.
+    # State 5 repeats state 3, so the solve stalls at the budget of 5
     report = solve(f, (0.0, 1.0), (2, 1),
                    SolverSettings(max_iterations=5))
-    assert report.status is SolveStatus.max_iterations
+    assert report.status is SolveStatus.stalled
+    assert report.iterations_used == 5
     assert report.history[-1].approximations == pytest.approx((0.0, 1.0))
 
 
@@ -528,8 +531,8 @@ def _wrong_claim_problem(initial):
     return f, initial, (2, 1)
 
 
-# (problem, method, j, k): state k is the first to repeat an earlier state
-# j bit for bit, at the default budget of 50 sweeps
+# (problem, method, j, k): state k of the computed loop is the first to
+# repeat an earlier state j bit for bit, at any budget of k sweeps or more
 CYCLES = {
     "mixed method3": (_mixed_problem, "method3", 9, 11),
     "mixed ehrlich": (_mixed_problem, "ehrlich", 15, 17),
@@ -540,27 +543,27 @@ CYCLES = {
 }
 
 
-def _first_repeat(history):
-    seen = {}
-    for state in history:
-        j = seen.setdefault(state.approximations.tobytes(), state.k)
-        if j != state.k:
-            return j, state.k
-    return None
-
-
 @pytest.mark.parametrize("name", CYCLES)
 def test_replayed_cycles_match_the_computed_loop(name):
+    # solve ends a cycle at its first repeated state k, a budget of k
+    # included, as stalled, with the computed loop's first k + 1 states
+    # bit for bit and the residuals of state k; a smaller budget ends
+    # both loops alike
     problem, method, j, k = CYCLES[name]
     f, initial, multiplicities = problem()
     for budget in sorted({max(1, k - 1), k, k + 1, k + 2 * (k - j) + 1, 50}):
         settings = SolverSettings(method=method, max_iterations=budget)
         expected = reference_solve(f, initial, multiplicities, settings)
         report = solve(f, initial, multiplicities, settings)
-        assert report_bytes(report) == report_bytes(expected), budget
+        assert report_bytes(report) == report_bytes(
+            cut_at_first_repeat(f, expected)), budget
         assert expected.status is SolveStatus.max_iterations
-        if budget == 50:
-            assert _first_repeat(expected.history) == (j, k)
+        if budget < k:
+            assert report.iterations_used == budget
+            continue
+        assert first_repeat(expected.history) == (j, k)
+        assert (report.status, len(report.history)) == (SolveStatus.stalled,
+                                                        k + 1)
 
 
 # (name, computed sweeps, residual checks) at the default budget: one
@@ -570,7 +573,7 @@ def test_replayed_cycles_match_the_computed_loop(name):
 @pytest.mark.parametrize("name, sweeps, sums", [("mixed ehrlich", 17, 1),
                                                 ("mixed method3", 11, 1),
                                                 ("held method13", 7, 1),
-                                                ("wrong claim", 5, 6),
+                                                ("wrong claim", 5, 5),
                                                 ("back to state 0", 1, 1)])
 def test_sweeps_after_a_repeat_are_not_computed(name, sweeps, sums,
                                                 monkeypatch):
@@ -584,18 +587,20 @@ def test_sweeps_after_a_repeat_are_not_computed(name, sweeps, sums,
     monkeypatch.setattr(BasisSystem, "tensor",
                         _counting(calls, "tensor", BasisSystem.tensor))
     report = solve(f, initial, multiplicities, SolverSettings(method=method))
-    assert report.iterations_used == 50
+    assert (report.status, report.iterations_used) == (SolveStatus.stalled,
+                                                       sweeps)
     # one tensor per computed sweep, and one per check at bytes other
-    # than those of the last computed sweep's snapshot, or at orders its
-    # tensor does not reach (mixed ehrlich's stops at order 1)
-    tensors = sweeps + {"mixed ehrlich": 1, "wrong claim": 5}.get(name, 0)
+    # than those of the last computed sweep's snapshot: the final state of
+    # a period-2 cycle, and each check of the moving wrong claim
+    tensors = sweeps + {"mixed ehrlich": 1, "mixed method3": 1,
+                        "wrong claim": 5}.get(name, 0)
     assert calls == {"step": sweeps, "sums": sums, "tensor": tensors}
 
 
 def test_a_solve_checks_its_input_once(monkeypatch):
-    # the fixed mixed ehrlich problem computes 17 sweeps and replays 33:
-    # the sweeps share the plan that checked the input, and the states
-    # that solve accepts or replays are not validated again
+    # the fixed mixed ehrlich problem computes 17 sweeps and stalls: the
+    # sweeps share the plan that checked the input, and the states that
+    # solve accepts are not validated again
     f, initial, multiplicities = _mixed_problem()
     calls = Counter()
     monkeypatch.setattr(solver, "_check_inputs",
@@ -605,7 +610,7 @@ def test_a_solve_checks_its_input_once(monkeypatch):
     monkeypatch.setattr(solver, "_step",
                         _counting(calls, "step", solver._step))
     report = solve(f, initial, multiplicities, SolverSettings(method="ehrlich"))
-    assert report.iterations_used == 50
+    assert report.iterations_used == 17
     assert calls == {"inputs": 1, "state": 1, "step": 17}
     for state in report.history:
         assert isinstance(state, IterationState)
@@ -837,7 +842,12 @@ def test_residuals_read_from_the_last_sweep_match_a_fresh_check(
     mixed, mixed_state = _monomial_snapshot((3, 3, 2, 2, 2))
     cases = [(simple, simple_state.approximations, (1,) * 14),
              (simple, simple.construction_roots.locations, (1,) * 14),
-             (mixed, mixed_state.approximations, (3, 3, 2, 2, 2))]
+             (mixed, mixed_state.approximations, (3, 3, 2, 2, 2)),
+             # x^4 - x^3 started at its roots: the first sweep holds both,
+             # so the check at state 1 has the bytes of its snapshot, and
+             # the solve converges at the repeat of state 0
+             (GeneralizedPolynomial(_monomials(5), np.array(
+                 [0.0, 0.0, 0.0, -1.0, 1.0])), (0.0, 1.0), (3, 1))]
     if method != "ehrlich":
         cases += [(reference, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES),
                   (_expression_reference_problem(), REFERENCE_INITIAL,
@@ -854,14 +864,12 @@ def test_residuals_read_from_the_last_sweep_match_a_fresh_check(
     monkeypatch.setattr(solver, "_final_state", checked)
     settings = SolverSettings(method=method)
     # the fixed mixed problem cycles at its roots until method3 and
-    # ehrlich run out the budget, and its final state has the bytes of the
-    # last computed sweep's snapshot; its residuals pass without a
-    # converged status
+    # ehrlich stall, and its residuals pass without a converged status
     cycle = _mixed_problem()
     for f, initial, multiplicities in cases + [cycle]:
         report = solve(f, initial, multiplicities, settings)
-        assert report_bytes(report) == report_bytes(
-            reference_solve(f, initial, multiplicities, settings))
+        assert report_bytes(report) == report_bytes(cut_at_first_repeat(
+            f, reference_solve(f, initial, multiplicities, settings)))
         final = report.history[-1].approximations
         residuals, passes = fresh(f, final, report.history[0].multiplicities)
         assert report.final_residuals == residuals
@@ -945,7 +953,7 @@ def _seeded_solves(name, monkeypatch, tmp_path):
 SEEDED_READS = {
     "reference_cli": {"pair", "tensor", "fresh"},
     "monomial_det": {"pair", "tensor", "fresh"},
-    "monomial_ehrlich": {"pair", "short", "fresh"},
+    "monomial_ehrlich": {"pair", "fresh"},
     "expression_jets": {"pair", "tensor", "fresh"},
 }
 
@@ -1058,7 +1066,8 @@ def test_ehrlich_solves_match_the_computed_loop(multiplicities):
     f, state = _monomial_snapshot(multiplicities)
     settings = SolverSettings(method="ehrlich")
     for initial in (state.approximations, 0.9 * state.approximations):
-        expected = reference_solve(f, initial, multiplicities, settings)
+        expected = cut_at_first_repeat(f, reference_solve(
+            f, initial, multiplicities, settings))
         report = solve(f, initial, multiplicities, settings)
         assert report_bytes(report) == report_bytes(expected)
 

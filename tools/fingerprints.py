@@ -18,10 +18,13 @@ run's exit code, or the type of a raise) and a solve's iterations_used
 ones and `expression_jets`.  `compare` keys the entries on their first
 four fields and lists those whose hashes differ or that only one file
 holds, each with both sides' status and iterations (`?` on a line
-written without them, `absent` where a file lacks the entry).  It prints
-how many of all the entries these are, and how many of those differ in
-status or iterations too (an entry one file lacks does), so a change that
-moves bits but no outcome reads "N of T entries differ, 0 in status or
+written without them, `absent` where a file lacks the entry).  Then it
+counts those entries per workload and status transition, as in
+"monomial_det: max_iterations -> stalled, 3 entries" (a status that did
+not change reads as a transition to itself).  Last it prints how many of
+all the entries differ, and how many of those differ in status or
+iterations too (an entry one file lacks does), so a change that moves
+bits but no outcome reads "N of T entries differ, 0 in status or
 iterations".  It exits 1 if any entry differs or if either file holds no
 entries (say, after an interrupted `write`).
 
@@ -39,6 +42,7 @@ import io
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 WORKLOADS = ("reference_cli", "monomial_det", "monomial_ehrlich",
@@ -135,6 +139,9 @@ def main(argv=None):
     differ, total, nonempty = compare(args.a, args.b)
     for key, one, two in differ:
         print("%s: %s -> %s" % (" ".join(key), " ".join(one), " ".join(two)))
+    transitions = Counter((key[0], one[0], two[0]) for key, one, two in differ)
+    for (workload, before, after), count in sorted(transitions.items()):
+        print("%s: %s -> %s, %d entries" % (workload, before, after, count))
     moved = sum(one != two for _, one, two in differ)
     print("%d of %d entries differ, %d in status or iterations"
           % (len(differ), total, moved))
