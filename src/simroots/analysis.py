@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confluent import RootConfiguration, q_derivative, q_value
+from .confluent import (RootConfiguration, checked_index, q_derivative,
+                        q_value)
 from .errors import DimensionMismatch, InsufficientHistory, InvalidConfiguration
 
 EPS = float(np.finfo(float).eps)
@@ -43,11 +44,16 @@ def eval_phi(f, iterate_cfg, i, x, true_root=None):
     """The expanded correction numerator at x for root index i.
 
     The true root location is taken from the polynomial's construction
-    roots unless given explicitly; Q is built on f's basis.
+    roots unless given explicitly; Q is built on f's basis.  Raises
+    InvalidConfiguration unless i indexes a node of iterate_cfg, and of
+    the construction roots where it reads them.
     """
-    xi = (float(true_root) if true_root is not None
-          else _construction_roots(f).nodes[i][0])
-    alpha = iterate_cfg.nodes[i][1]
+    alpha = iterate_cfg.nodes[checked_index(i, len(iterate_cfg),
+                                            "root index")][1]
+    if true_root is None:
+        roots = _construction_roots(f)
+        true_root = roots.nodes[checked_index(i, len(roots), "root index")][0]
+    xi = float(true_root)
     fx = f.eval(x, 0)
     fpx = f.eval(x, 1)
     q = q_value(f.basis, iterate_cfg, i, x)
@@ -56,8 +62,10 @@ def eval_phi(f, iterate_cfg, i, x, true_root=None):
 
 
 def eval_psi(f, iterate_cfg, i, x):
-    """The expanded correction denominator at x for root index i."""
-    alpha = iterate_cfg.nodes[i][1]
+    """The expanded correction denominator at x for root index i, checked
+    as in eval_phi."""
+    alpha = iterate_cfg.nodes[checked_index(i, len(iterate_cfg),
+                                            "root index")][1]
     fx = f.eval(x, 0)
     fpx = f.eval(x, 1)
     q = q_value(f.basis, iterate_cfg, i, x)

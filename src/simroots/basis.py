@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confluent import finite_real, real_sequence
+from .confluent import checked_index, finite_real, real_sequence
 from .errors import (
     DimensionMismatch,
     DivisionBySingularJet,
@@ -211,13 +211,15 @@ def _propagate(node, x, p):
 
 
 def jet_propagate(tree, x, p):
-    """The derivatives of orders 0 .. p (p >= 0) at x of a tree that
-    parse_expression returns: c_q * q! from its Taylor coefficients c_q.
-    Raises OverflowError for math's ValueError at an overflowed value: sin
-    or cos of inf, or inf - inf in a compensated sum.
+    """The derivatives of orders 0 .. p at x of a tree that parse_expression
+    returns: c_q * q! from its Taylor coefficients c_q.  Raises
+    InvalidConfiguration unless p is an integer from 0 up (_exponent), and
+    OverflowError for math's ValueError at an overflowed value: sin or cos
+    of inf, or inf - inf in a compensated sum.
     """
+    p = _exponent(p, "derivative order", math.inf)
     try:
-        jet = _propagate(tree, float(x), int(p))
+        jet = _propagate(tree, float(x), p)
     except ValueError as exc:
         raise OverflowError("jet at x=%r: %s" % (x, exc)) from None
     return [c * math.factorial(q) for q, c in enumerate(jet)]
@@ -375,10 +377,10 @@ class BasisSystem:
     (confluent.real_sequence), a member of unknown kind, a power exponent
     power() would refuse or a derivative cap expression() would refuse, with
     InvalidConfiguration, and an empty domain (a NaN bound too) with
-    DomainError.  It stores the bounds as floats and plans tensor: the
-    exponent of each power member as an int (the constant is the power x^0),
-    and the other members.  The gather tables of each derivative order come
-    from _gather, whose cache every system with the same exponents shares.
+    DomainError.  It stores the bounds as floats, the least member cap as
+    derivative_cap, and plans tensor: each power member's exponent as an
+    int (the constant is x^0) and the other members.  Each order's gather
+    tables come from _gather, whose cache systems of equal exponents share.
     """
 
     functions: tuple
@@ -406,8 +408,9 @@ class BasisSystem:
                           for b in self.functions)
         table_size = max((s for s in exponents if s is not None), default=0) + 1
         for name, value in (
-                ("_cap", min(_exponent(b.derivative_cap, "derivative cap",
-                                       math.inf) for b in self.functions)),
+                ("derivative_cap", min(_exponent(
+                    b.derivative_cap, "derivative cap", math.inf)
+                    for b in self.functions)),
                 ("_exponents", exponents),
                 ("_table_size", table_size),
                 ("_orders", np.arange(table_size, dtype=float)),
@@ -418,10 +421,6 @@ class BasisSystem:
     def __len__(self):
         return len(self.functions)
 
-    @property
-    def derivative_cap(self):
-        return self._cap
-
     def contains(self, x):
         """lo < x < hi: NaN and the infinities fail it with any bounds,
         since __post_init__ refuses a NaN bound."""
@@ -430,8 +429,10 @@ class BasisSystem:
 
     def eval(self, j, x, p=0):
         """The p-th derivative of member j at x: entry (p, j) of rows(x, p),
-        which raises wherever rows does."""
-        return float(self.rows(x, p)[p, j])
+        which raises wherever rows does, and InvalidConfiguration unless j
+        is a member index (confluent.checked_index)."""
+        return float(self.rows(x, p)[-1, checked_index(j, len(self),
+                                                       "member index")])
 
     def rows(self, x, top):
         """tensor([x], top)[0]: the (top+1) x (n+1) array whose row p
@@ -446,11 +447,12 @@ class BasisSystem:
         perm(s, p) * x ** (s - p) makes it, from one np.float_power (not
         np.power, which need not call pow), and every other member runs
         its scalar formula once per point.  Raises DomainError for a point
-        outside the domain, OrderExceedsCap when top exceeds the system's
-        cap, and OverflowError where a power or a member's formula leaves
-        the float range, point by point: x's highest power, then its
-        other members.  A system of powers only checks the highest power
-        of the largest |x| alone, which overflows if any point's does.
+        outside the domain, InvalidConfiguration unless top is an integer
+        from 0 up (_exponent; 2.0 is 2), OrderExceedsCap when it exceeds
+        the system's cap, and OverflowError where a power or a member's
+        formula leaves the float range, point by point: x's highest power,
+        then its other members.  A system of powers only checks the highest
+        power of the largest |x| alone, which overflows if any point's does.
         """
         points = np.asarray(xs, dtype=float)
         xs = points.tolist()
@@ -459,10 +461,11 @@ class BasisSystem:
             if not lo < x < hi:
                 raise DomainError(
                     "x=%r outside open interval (%g, %g)" % (x, lo, hi))
-        if top > self._cap:
-            raise OrderExceedsCap(
-                "derivative order %d exceeds cap %d" % (top, self._cap)
-            )
+        if type(top) is not int or not 0 <= top <= self.derivative_cap:
+            top = _exponent(top, "derivative order", math.inf)
+            if top > self.derivative_cap:
+                raise OrderExceedsCap("derivative order %d exceeds cap %d"
+                                      % (top, self.derivative_cap))
         index, factor = _gather(self._exponents, self._table_size, top)
         table = self._table_size
         values = np.empty((len(xs), table + len(self._others) * (top + 1)))

@@ -23,7 +23,8 @@ import numpy as np
 from . import basis as basis_mod
 from .analysis import estimate_order
 from .confluent import RootConfiguration, finite_real, positive_integers
-from .errors import InsufficientHistory, ProblemFileError, SimrootsError
+from .errors import (DimensionMismatch, InsufficientHistory,
+                     ProblemFileError, SimrootsError)
 from .genpoly import GeneralizedPolynomial, from_roots
 from .solver import (
     SolverSettings,
@@ -123,8 +124,8 @@ def load_problem(path):
     multiplicities = _reported("multiplicities", positive_integers,
                                multiplicities)
 
-    # diagnostics touch derivatives up to alpha + 2
-    cap = max(8, max(multiplicities) + 2)
+    # solve reads derivatives up to order alpha + 1
+    cap = max(basis_mod.EXPRESSION_CAP, max(multiplicities) + 1)
 
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list) or len(raw_basis) < 2:
@@ -240,26 +241,28 @@ def _summary_block(method, report, true_roots):
                  + " ".join(_fmt(x) for x in report.history[-1].approximations))
     lines.append("  final residuals: "
                  + " ".join(format(r, ".3e") for r in report.final_residuals))
-    if true_roots is not None and len(true_roots) == len(
-            report.history[-1].approximations):
-        try:
-            estimate = estimate_order(report.history, true_roots.locations)
-            lines.append("  order estimates: " + " ".join(
-                "x_%d~%.3f" % (r + 1, order) for r, order in estimate.per_root))
-        except InsufficientHistory as exc:
-            lines.append("  order estimates: unavailable (%s)" % exc)
-    else:
+    if true_roots is None:
         lines.append("  order estimates: unavailable (true roots not given)")
+        return lines
+    try:  # DimensionMismatch: not one true root per approximation
+        estimate = estimate_order(report.history, true_roots.locations)
+        lines.append("  order estimates: " + " ".join(
+            "x_%d~%.3f" % (r + 1, order) for r, order in estimate.per_root))
+    except (DimensionMismatch, InsufficientHistory) as exc:
+        lines.append("  order estimates: unavailable (%s)" % exc)
     return lines
 
 
-def _solve_all(problem):
-    reports = {}
-    for method in problem.methods:
-        settings = replace(problem.settings, method=method)
-        reports[method] = solve(problem.f, problem.initial,
-                                problem.multiplicities, settings)
-    return reports
+def _solved(problem, out):
+    """(output directory, made first; the report of every method; the exit
+    code: 0 when every method converged, else 2)."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reports = {m: solve(problem.f, problem.initial, problem.multiplicities,
+                        replace(problem.settings, method=m))
+               for m in problem.methods}
+    ok = all(r.status is SolveStatus.converged for r in reports.values())
+    return out_dir, reports, 0 if ok else 2
 
 
 def cmd_run(args):
@@ -270,10 +273,8 @@ def cmd_run(args):
     if args.validate_only:
         print("%s: valid" % args.problem)
         return 0
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir, reports, code = _solved(problem, args.out)
     stem = Path(args.problem).stem
-    reports = _solve_all(problem)
     summary_lines = []
     for method in problem.methods:
         report = reports[method]
@@ -287,19 +288,15 @@ def cmd_run(args):
     summary_path.write_text("\n".join(summary_lines) + "\n",
                             encoding="utf-8", newline="")
     print("summary -> %s" % summary_path)
-    if all(r.status is SolveStatus.converged for r in reports.values()):
-        return 0
-    return 2
+    return code
 
 
 def cmd_compare(args):
     problem = load_problem(args.problem)
     if len(problem.methods) < 2:
         _fail("methods", "compare needs at least 2 methods")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir, reports, code = _solved(problem, args.out)
     stem = Path(args.problem).stem
-    reports = _solve_all(problem)
     m = len(problem.initial)
     header = ["k"]
     for method in problem.methods:
@@ -332,9 +329,7 @@ def cmd_compare(args):
         print("%s: %s after %d iterations"
               % (method, report.status.value, report.iterations_used))
     print("compare table -> %s" % csv_path)
-    if len(converged) == len(problem.methods):
-        return 0
-    return 2
+    return code
 
 
 @functools.cache

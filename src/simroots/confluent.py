@@ -82,6 +82,16 @@ def finite_real(value, name):
                                % (name, value))
 
 
+def checked_index(i, size, name):
+    """i as an int.  Raises InvalidConfiguration unless it is an int or a
+    numpy integer, not a bool, from 0 to size - 1: no index wraps."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not (
+            0 <= i < size):
+        raise InvalidConfiguration("%s must be an integer from 0 to %d, got %r"
+                                   % (name, size - 1, i))
+    return int(i)
+
+
 @dataclass(frozen=True)
 class RootConfiguration:
     """Node/multiplicity pairs (x_j, alpha_j), used both for exact roots
@@ -272,13 +282,14 @@ def q_value(basis, cfg, i, x):
 
     Evaluated by an LU of the full matrix (determinant), independently of
     the SVD null vector the solver uses for Q_i'/Q_i, so the two can check
-    each other.
+    each other.  Raises InvalidConfiguration unless i indexes a node.
     """
-    alpha = cfg.nodes[i][1]
+    alpha = cfg.nodes[checked_index(i, len(cfg), "root index")][1]
     return determinant(build_matrix(basis, cfg, x, alpha))
 
 
 def q_derivative(basis, cfg, i, x):
-    """Derivative of Q_i at x, via first-row order alpha_i + 1."""
-    alpha = cfg.nodes[i][1]
+    """Derivative of Q_i at x, via first-row order alpha_i + 1; i as for
+    q_value."""
+    alpha = cfg.nodes[checked_index(i, len(cfg), "root index")][1]
     return determinant(build_matrix(basis, cfg, x, alpha + 1))

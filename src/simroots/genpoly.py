@@ -54,13 +54,14 @@ class GeneralizedPolynomial:
         return _term_sums(rows[:, columns], self.coefficients[columns])
 
     def eval(self, x, p=0):
-        """Evaluate the p-th derivative at x by compensated summation."""
-        return checked_sums(self.row_sums(self.basis.rows(x, p)[p:])[0])[0]
+        """Evaluate the p-th derivative at x by compensated summation; p as
+        for BasisSystem.tensor."""
+        return checked_sums(self.row_sums(self.basis.rows(x, p)[-1:])[0])[0]
 
     def term_magnitude(self, x, p=0):
         """Sum of |a_j phi_j^(p)(x)|, the roundoff scale of eval(x, p):
         a plain row sum, within (k - 1) u of exact for k terms."""
-        return checked_sums(self.row_sums(self.basis.rows(x, p)[p:])[0])[1]
+        return checked_sums(self.row_sums(self.basis.rows(x, p)[-1:])[0])[1]
 
 
 def _term_sums(rows, weights):

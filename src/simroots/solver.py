@@ -42,9 +42,9 @@ So a sweep and the checks on its result are pure functions of the
 approximations, and solve stops (stalled) once an accepted state repeats
 the bytes of an earlier one: no later sweep could give anything new.
 For the same reason a sweep (_step) returns the snapshot it read, tensor
-included, and _final_state, the one reader of a solve's end state, reads
-the residuals at the bytes of that snapshot, as after a sweep that held
-every root, from its row sums or its tensor, not from the basis again.
+included, and the convergence check after a sweep that kept every
+iterate's bytes (one that held every root) reads the residuals from its
+row sums or its tensor (_final_state), not from the basis again.
 """
 
 import math
@@ -54,8 +54,9 @@ from enum import Enum
 
 import numpy as np
 
-from .confluent import (_row_maxima, finite_real, node_null_vector,
-                        node_rows, positive_integers, real_sequence)
+from .confluent import (_row_maxima, checked_index, finite_real,
+                        node_null_vector, node_rows, positive_integers,
+                        real_sequence)
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -166,25 +167,23 @@ def _check_collisions(xs):
     order.  Only when two neighbours collide does the scan of every pair
     run, to name the first colliding pair in row order.
     """
-    values = sorted(x for x in xs.tolist() if x == x)  # NaN != NaN
-    for a, b in zip(values, values[1:]):
+    values = xs.tolist()
+    ordered = sorted(x for x in values if x == x)  # NaN != NaN
+    for a, b in zip(ordered, ordered[1:]):
         if b - a <= COLLISION_THRESHOLD * (1.0 + max(abs(a), abs(b))):
             break
     else:
         return
-    # an overflowed gap collides only with an infinite limit; inf - inf
-    # is NaN and collides with none
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = np.abs(xs[:, None] - xs)
-    np.fill_diagonal(gap, np.nan)
-    size = np.abs(xs)
-    limit = COLLISION_THRESHOLD * (1.0 + np.maximum.outer(size, size))
-    # gap and limit are symmetric, so the first hit in row order has i < j
-    i, j = divmod(int(np.flatnonzero(gap <= limit)[0]), len(xs))
-    raise IterateCollision(
-        "approximations %d and %d are %.3e apart (limit %.3e)"
-        % (i, j, gap[i, j], limit[i, j])
-    )
+    # an overflowed gap is inf and collides only with an infinite limit;
+    # inf - inf is NaN and collides with none
+    for i, a in enumerate(values):
+        for j, b in enumerate(values[i + 1:], i + 1):
+            gap = abs(b - a)
+            limit = COLLISION_THRESHOLD * (1.0 + max(abs(a), abs(b)))
+            if gap <= limit:
+                raise IterateCollision(
+                    "approximations %d and %d are %.3e apart (limit %.3e)"
+                    % (i, j, gap, limit))
 
 
 def is_monomial_basis(basis):
@@ -312,16 +311,20 @@ def _snapshot(f, state, settings, plan=None):
 def single_correction(f, state, i, settings, snapshot=None):
     """Correction for root index i from the current snapshot.
 
-    A sweep passes the _snapshot it builds once; a call without one builds
-    it here.  Pure in all arguments, so calls for different i may run in
-    any order or concurrently and produce identical values.  Each guard
+    A sweep passes the _snapshot it builds once; a call without one
+    refuses an i that is no root index (InvalidConfiguration,
+    confluent.checked_index), then builds it here.  Pure in all arguments,
+    so calls for different i may run in any order or concurrently and
+    produce identical values.  Each guard
     reads only its own entry of the snapshot, in this order: f^(p), the
     noise-floor hold, the rank guard, Q and its cancellation guard, Q',
     f^(p+1) and the denominator guard; for ehrlich f^(p), the hold,
     f^(p+1) and the denominator guard.
     """
-    sums, rank_ratio, q_sums, shifts, _ = snapshot or _snapshot(
-        f, state, settings)
+    if snapshot is None:
+        i = checked_index(i, len(state.approximations), "root index")
+        snapshot = _snapshot(f, state, settings)
+    sums, rank_ratio, q_sums, shifts, _ = snapshot
     at_p, at_next = sums[i]
     # an entry is a (value, scale) tuple, so only None reaches checked_sums
     fp, magnitude = at_p or checked_sums(at_p)
@@ -434,27 +437,29 @@ def solve(f, initial, multiplicities, settings=None):
     Inputs no sweep can iterate raise DimensionMismatch or
     InvalidConfiguration (see IterationState and _check_inputs), checked
     once for the _plan all sweeps read.  The report history includes the
-    initial snapshot, so its length is iterations_used + 1.  A state with
-    the approximation bytes of an earlier one (-0.0 is not 0.0) ends the
-    solve as stalled, even at the budget: every later sweep would repeat one
-    before it.  The convergence check and the final residuals read the
-    snapshot the last computed sweep returned when the iterates did not move
-    in that sweep (their bytes are those of the snapshot), and build a fresh
-    tensor otherwise, as after a sweep that raised a guard (_final_state).
+    initial snapshot, so its length is iterations_used + 1.  One domain
+    test per state, ahead of the repeat and budget tests, ends the solve
+    at a state outside the basis domain as domain_escape; a sweep below
+    tolerance is checked for convergence first, which an escaped root's
+    inf residuals fail.  A state with the approximation bytes of an
+    earlier one (-0.0 is not 0.0) ends the solve as stalled, even at the
+    budget: every later sweep would repeat one before it.  The convergence
+    check reads the sweep's snapshot when the sweep kept the iterates'
+    bytes, and a fresh tensor otherwise; the final residuals are fresh
+    unless that check read them at the final bytes (_final_state).
     """
     settings = settings or SolverSettings()
     state = IterationState(initial, multiplicities)
     mult = state.multiplicities
     plan = _plan(f, mult, settings)
     history = [state]
-    status = residuals = summed = None
+    residuals = summed = None
     seen = set()  # approximations.tobytes() of every accepted state
-    swept = snapshot = None  # bytes and snapshot of the last computed sweep
 
-    if not all(map(f.basis.contains, state.approximations.tolist())):
-        status = SolveStatus.domain_escape
-
-    while status is None:
+    while True:
+        if not all(map(f.basis.contains, state.approximations.tolist())):
+            status = SolveStatus.domain_escape
+            break
         key = state.approximations.tobytes()
         if key in seen:
             status = SolveStatus.stalled
@@ -475,23 +480,17 @@ def solve(f, initial, multiplicities, settings=None):
             # an evaluation left the basis domain or the float range
             status = SolveStatus.domain_escape
             break
-        swept = key
         state = _accepted(new, mult, state.k + 1, corrections)
         history.append(state)
-        if not all(map(f.basis.contains, new.tolist())):
-            status = SolveStatus.domain_escape
-            break
         if np.abs(corrections).max() < settings.tolerance:
             summed = new.tobytes()
             residuals, passes = _final_state(
-                f, new, mult, plan, snapshot if summed == swept else None)
+                f, new, mult, plan, snapshot if summed == key else None)
             if passes:
                 status = SolveStatus.converged
                 break
 
     final = history[-1]
-    at = final.approximations.tobytes()
-    if summed != at:
-        residuals, _ = _final_state(f, final.approximations, mult, plan,
-                                    snapshot if at == swept else None)
+    if summed != final.approximations.tobytes():
+        residuals, _ = _final_state(f, final.approximations, mult)
     return SolveReport(history, status, final.k, residuals)

@@ -58,6 +58,22 @@ def test_phi_needs_a_root_location():
     assert abs(value) < 1e-12
 
 
+@pytest.mark.parametrize("diagnostic", [eval_phi, eval_psi])
+def test_phi_and_psi_refuse_an_index_that_names_no_root(reference_problem,
+                                                        diagnostic):
+    _, f = reference_problem
+    iterate_cfg = RootConfiguration(((-0.4, 2), (2.8, 2)))
+    for i in (-1, 2, True, 1.0, None):
+        with pytest.raises(InvalidConfiguration, match="root index"):
+            diagnostic(f, iterate_cfg, i, 2.95)
+    # two double roots claimed as four simple ones: root index 3 names
+    # no construction root
+    simple = RootConfiguration(((-0.6, 1), (-0.4, 1), (2.9, 1), (3.1, 1)))
+    if diagnostic is eval_phi:
+        with pytest.raises(InvalidConfiguration, match="root index"):
+            eval_phi(f, simple, 3, 2.95)
+
+
 def test_phi_is_homogeneous_in_the_coefficients(reference_problem):
     system, f = reference_problem
     iterate_cfg = RootConfiguration(((-0.4, 2), (2.8, 2)))

@@ -15,6 +15,7 @@ from simroots import (
     DivisionBySingularJet,
     DomainError,
     ExpressionParseError,
+    GeneralizedPolynomial,
     InvalidConfiguration,
     OrderExceedsCap,
     constant,
@@ -196,6 +197,50 @@ def test_eval_raises_what_rows_raises():
         assert messages[0] == messages[1]
     assert system.eval(1, 0.5) == 0.5
     assert capped.eval(0, 0.5, 8) == math.sin(0.5 + 8 * math.pi / 2.0)
+
+
+@pytest.mark.parametrize("order", [-1, True, 2.5, None, "1", math.nan])
+def test_derivative_orders_are_nonnegative_integers(order):
+    # at the orders -1 and True the tensor was empty and of order 1
+    system = BasisSystem((constant(), power(2), sine(1.0),
+                          expression("x*x")))
+    f = GeneralizedPolynomial(system, np.ones(4))
+    for read in (lambda: system.tensor([0.5], order),
+                 lambda: system.rows(0.5, order),
+                 lambda: system.eval(1, 0.5, order),
+                 lambda: f.eval(0.5, order),
+                 lambda: f.term_magnitude(0.5, order),
+                 lambda: jet_propagate(parse_expression("x*x"), 0.5, order)):
+        with pytest.raises(InvalidConfiguration, match="derivative order"):
+            read()
+
+
+def test_integral_orders_read_as_ints():
+    system = BasisSystem((constant(), power(2), sine(1.0),
+                          expression("x*x")))
+    f = GeneralizedPolynomial(system, np.ones(4))
+    tree = parse_expression("x^3")
+    for order in (2.0, np.int64(2)):
+        assert np.array_equal(system.tensor([0.5], order),
+                              system.tensor([0.5], 2))
+        assert system.eval(1, 0.5, order) == 2.0
+        assert f.eval(0.5, order) == f.eval(0.5, 2)
+        assert jet_propagate(tree, 0.5, order) == jet_propagate(tree, 0.5, 2)
+    # 2.7 is no order, though int() would read it as 2
+    with pytest.raises(InvalidConfiguration, match="derivative order"):
+        jet_propagate(tree, 0.5, 2.7)
+    for order in (9, 9.0):  # x*x caps its orders at 8
+        with pytest.raises(OrderExceedsCap):
+            system.tensor([0.5], order)
+
+
+def test_eval_refuses_an_index_that_names_no_member():
+    # -1 would read the last member
+    system = BasisSystem((constant(), power(1), power(2)))
+    assert system.eval(np.int64(2), 0.5) == 0.25
+    for j in (-1, 3, True, 1.0, None):
+        with pytest.raises(InvalidConfiguration, match="member index"):
+            system.eval(j, 0.5)
 
 
 def _scalar_power(s, x, p):

@@ -242,6 +242,19 @@ def test_summary_says_why_order_estimates_are_unavailable(tmp_path):
             "the rounding floor)") in summary
 
 
+def test_summary_says_when_true_roots_and_approximations_differ_in_count(
+        tmp_path):
+    # two double roots, claimed as four simple ones
+    doc = dict(REFERENCE_PROBLEM, initial=[-0.6, -0.4, 2.9, 3.1],
+               multiplicities=[1, 1, 1, 1], methods=["method3"])
+    problem = _write_problem(tmp_path, doc)
+    out = tmp_path / "out"
+    main(["run", str(problem), "--out", str(out)])
+    summary = (out / "problem.summary.txt").read_text(encoding="utf-8")
+    assert ("order estimates: unavailable (2 true roots for a history "
+            "entry of 4 approximations)") in summary
+
+
 def test_expression_basis_matches_the_builtin_member(tmp_path):
     builtin = _write_problem(tmp_path, REFERENCE_PROBLEM, "builtin.json")
     doc = json.loads(json.dumps(REFERENCE_PROBLEM))

@@ -144,6 +144,17 @@ def test_q_value_example():
     assert q_derivative(_monomials(3), cfg, 0, 0.0) == pytest.approx(2.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("q", [q_value, q_derivative])
+def test_q_refuses_an_index_that_names_no_root(q):
+    # -1 would read the last root's multiplicity, 2 no root at all
+    cfg = RootConfiguration(((1.0, 1), (2.0, 1)))
+    assert q(_monomials(3), cfg, np.int64(1), 0.0) == q(_monomials(3), cfg,
+                                                         1, 0.0)
+    for i in (-1, 2, True, 1.0, None):
+        with pytest.raises(InvalidConfiguration, match="root index"):
+            q(_monomials(3), cfg, i, 0.0)
+
+
 def test_q_vanishes_when_first_row_order_exceeds_degree():
     cfg = RootConfiguration(((1.0, 1), (2.0, 1)))
     m = build_matrix(_monomials(3), cfg, 0.5, 3)

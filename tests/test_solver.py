@@ -460,6 +460,46 @@ def test_domain_escape():
     assert report.final_residuals[0] == float("inf")
 
 
+def _escaping_problem():
+    """x^2 - 1.5 x on (-1, 1): its root 1.5 lies outside the domain, and
+    the first sweep from (0.1, 0.9) carries the second iterate there."""
+    system = BasisSystem((constant(), power(1), power(2)), (-1.0, 1.0))
+    return GeneralizedPolynomial(system, np.array([0.0, -1.5, 1.0]))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_state_that_leaves_the_domain_on_the_last_sweep_escapes(method):
+    # the domain test comes before the budget test
+    report = solve(_escaping_problem(), (0.1, 0.9), (1, 1),
+                   SolverSettings(method=method, max_iterations=1))
+    assert (report.status, report.iterations_used) == (
+        SolveStatus.domain_escape, 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_sweep_below_tolerance_that_leaves_the_domain_escapes(method):
+    # every correction is below the tolerance, so the convergence check
+    # reads the escaped state first; it fails on the escaped root's inf
+    f = _escaping_problem()
+    report = solve(f, (0.1, 0.9), (1, 1),
+                   SolverSettings(method=method, tolerance=10.0))
+    assert (report.status, report.iterations_used) == (
+        SolveStatus.domain_escape, 1)
+    assert np.abs(report.history[-1].last_corrections).max() < 10.0
+    x = report.history[-1].approximations
+    assert f.basis.contains(x[0]) and not f.basis.contains(x[1])
+    assert report.final_residuals == [abs(f.eval(x[0])), math.inf]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_start_outside_the_domain_escapes_before_it_collides(method):
+    report = solve(_escaping_problem(), (1.5, 1.5), (1, 1),
+                   SolverSettings(method=method))
+    assert (report.status, report.iterations_used) == (
+        SolveStatus.domain_escape, 0)
+    assert report.final_residuals == [math.inf, math.inf]
+
+
 def test_derivative_orders_above_the_cap_are_rejected():
     # a 9-fold root needs order 10 from members capped at 8
     system = BasisSystem(tuple(expression("x^%d" % s) for s in range(10)))
@@ -1192,6 +1232,20 @@ def _raised_by_every_entry_point(f, state, settings, roots=None):
     return standalone | {
         raised(lambda: _step(f, state, settings)[1]),
     }
+
+
+def test_a_standalone_correction_refuses_an_index_that_names_no_root(
+        reference_problem):
+    # -1 would read the last root's correction, 2 no root at all
+    _, f = reference_problem
+    state = IterationState(np.array(REFERENCE_INITIAL),
+                           np.array(REFERENCE_MULTIPLICITIES))
+    settings = SolverSettings()
+    assert single_correction(f, state, np.int64(1), settings) \
+        == single_correction(f, state, 1, settings)
+    for i in (-1, 2, True, 1.0, None):
+        with pytest.raises(InvalidConfiguration, match="root index"):
+            single_correction(f, state, i, settings)
 
 
 def test_wrong_multiplicity_sum_is_refused_by_every_entry_point():
