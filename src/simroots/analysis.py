@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confluent import (RootConfiguration, checked_index, q_derivative,
-                        q_value)
+from .confluent import (RootConfiguration, _node_block, checked_index,
+                        determinant, q_derivative, q_value)
 from .errors import DimensionMismatch, InsufficientHistory, InvalidConfiguration
+from .genpoly import checked_sums
 
 EPS = float(np.finfo(float).eps)
 
@@ -106,22 +107,30 @@ def check_derivative_congruence(f):
     = f.construction_scale.  At the exact nodes the two quantities agree
     to rounding, and the deviation grows at most linearly in the shift.
     Raises InvalidConfiguration when f carries no construction roots.
+
+    Each entry is what q_value and f.eval give point by point: every
+    shift's node block is built once, and for each multiplicity alpha the
+    probe rows of order alpha and f^(alpha) on the grid come from one
+    basis.tensor call.
     """
     true_cfg = _construction_roots(f)
     basis, scale = f.basis, f.construction_scale
     locs = true_cfg.locations
     probe_grid = np.linspace(min(locs) - 0.5, max(locs) + 0.5, 25)
+    probes = {}  # alpha: (the probe rows, scale * f^(alpha) at each)
+    for alpha in true_cfg.multiplicities:
+        if alpha not in probes:
+            rows = basis.tensor(probe_grid, alpha)[:, alpha]
+            probes[alpha] = rows, [scale * checked_sums(sums)[0]
+                                   for sums in f.row_sums(rows)]
     table = []
     for delta in (0.0, 1e-2, 1e-3, 1e-4):
-        shifted = RootConfiguration(
-            tuple((loc + delta, m) for loc, m in true_cfg.nodes)
-        )
+        block = _node_block(basis, RootConfiguration(
+            tuple((loc + delta, m) for loc, m in true_cfg.nodes)))
         worst = 0.0
-        for i in range(len(true_cfg)):
-            alpha = true_cfg.nodes[i][1]
-            for x in probe_grid:
-                dev = abs(q_value(basis, shifted, i, float(x))
-                          - scale * f.eval(float(x), alpha))
+        for alpha in true_cfg.multiplicities:
+            for row, target in zip(*probes[alpha]):
+                dev = abs(determinant(np.vstack([row, block])) - target)
                 if dev > worst:
                     worst = dev
         table.append((delta, worst))

@@ -39,18 +39,16 @@ from .errors import (
     DomainError,
     ExpressionParseError,
     InvalidConfiguration,
-    OrderExceedsCap,
 )
 
 UNBOUNDED = (-math.inf, math.inf)
 
-# Catalog kinds have closed forms valid at any order; the cap only bounds
-# what callers may request before factorial growth overflows doubles.
-CATALOG_CAP = 100
-EXPRESSION_CAP = 8
 # Beyond this, x^s leaves the float range for every |x| >= 2, and the
 # power table tensor builds per point would grow with s.
 MAX_EXPONENT = 1024
+# The highest derivative order tensor and jet_propagate take: it bounds
+# the tables and jets they build, and claims nothing about accuracy.
+MAX_ORDER = 100
 _KINDS = ("constant", "power", "sine", "cosine", "exponential",
           "inverse-quadratic", "expression")
 
@@ -213,11 +211,12 @@ def _propagate(node, x, p):
 def jet_propagate(tree, x, p):
     """The derivatives of orders 0 .. p at x of a tree that parse_expression
     returns: c_q * q! from its Taylor coefficients c_q.  Raises
-    InvalidConfiguration unless p is an integer from 0 up (_exponent), and
-    OverflowError for math's ValueError at an overflowed value: sin or cos
-    of inf, or inf - inf in a compensated sum.
+    InvalidConfiguration, before any work, unless p is an integer from 0
+    to MAX_ORDER (_exponent), and OverflowError for math's ValueError at
+    an overflowed value: sin or cos of inf, or inf - inf in a compensated
+    sum.
     """
-    p = _exponent(p, "derivative order", math.inf)
+    p = _exponent(p, "derivative order", MAX_ORDER)
     try:
         jet = _propagate(tree, float(x), p)
     except ValueError as exc:
@@ -246,8 +245,6 @@ class BasisFunction:
         Exponent rate for the exponential kind.
     tree : tuple or None
         Parsed expression tree for the expression kind.
-    derivative_cap : int
-        Highest derivative order guaranteed accurate.
     """
 
     kind: str
@@ -255,7 +252,6 @@ class BasisFunction:
     omega: float = 0.0
     rate: float = 0.0
     tree: tuple | None = None
-    derivative_cap: int = CATALOG_CAP
 
 
 def constant():
@@ -296,12 +292,9 @@ def inverse_quadratic():
     return BasisFunction("inverse-quadratic")
 
 
-def expression(source, derivative_cap=EXPRESSION_CAP):
-    """Build an expression-kind basis function from infix source text.
-    The cap is an integer from 0 up, by _exponent's rule."""
-    return BasisFunction("expression", tree=parse_expression(source),
-                         derivative_cap=_exponent(
-                             derivative_cap, "derivative cap", math.inf))
+def expression(source):
+    """Build an expression-kind basis function from infix source text."""
+    return BasisFunction("expression", tree=parse_expression(source))
 
 
 def _column(b, x, top):
@@ -374,13 +367,13 @@ class BasisSystem:
     matrices are built from them.
 
     __post_init__ refuses a domain other than two real numbers
-    (confluent.real_sequence), a member of unknown kind, a power exponent
-    power() would refuse or a derivative cap expression() would refuse, with
+    (confluent.real_sequence), a member of unknown kind, or a parameter
+    that power(), sine(), cosine() or exponential() would refuse, with
     InvalidConfiguration, and an empty domain (a NaN bound too) with
-    DomainError.  It stores the bounds as floats, the least member cap as
-    derivative_cap, and plans tensor: each power member's exponent as an
-    int (the constant is x^0) and the other members.  Each order's gather
-    tables come from _gather, whose cache systems of equal exponents share.
+    DomainError.  It stores the bounds as floats
+    and plans tensor: each power member's exponent as an int (the constant
+    is x^0) and the other members.  Each order's gather tables come from
+    _gather, whose cache systems of equal exponents share.
     """
 
     functions: tuple
@@ -403,14 +396,15 @@ class BasisSystem:
         for b in self.functions:
             if b.kind not in _KINDS:
                 raise InvalidConfiguration("unknown basis kind %r" % (b.kind,))
+            if b.kind in ("sine", "cosine"):
+                finite_real(b.omega, "omega")
+            elif b.kind == "exponential":
+                finite_real(b.rate, "rate")
         exponents = tuple(_exponent(b.s) if b.kind == "power"
                           else 0 if b.kind == "constant" else None
                           for b in self.functions)
         table_size = max((s for s in exponents if s is not None), default=0) + 1
         for name, value in (
-                ("derivative_cap", min(_exponent(
-                    b.derivative_cap, "derivative cap", math.inf)
-                    for b in self.functions)),
                 ("_exponents", exponents),
                 ("_table_size", table_size),
                 ("_orders", np.arange(table_size, dtype=float)),
@@ -448,11 +442,11 @@ class BasisSystem:
         np.power, which need not call pow), and every other member runs
         its scalar formula once per point.  Raises DomainError for a point
         outside the domain, InvalidConfiguration unless top is an integer
-        from 0 up (_exponent; 2.0 is 2), OrderExceedsCap when it exceeds
-        the system's cap, and OverflowError where a power or a member's
-        formula leaves the float range, point by point: x's highest power,
-        then its other members.  A system of powers only checks the highest
-        power of the largest |x| alone, which overflows if any point's does.
+        from 0 to MAX_ORDER (_exponent; 2.0 is 2), and OverflowError where
+        a power or a member's formula leaves the float range, point by
+        point: x's highest power, then its other members.  A system of
+        powers only checks the highest power of the largest |x| alone,
+        which overflows if any point's does.
         """
         points = np.asarray(xs, dtype=float)
         xs = points.tolist()
@@ -461,11 +455,8 @@ class BasisSystem:
             if not lo < x < hi:
                 raise DomainError(
                     "x=%r outside open interval (%g, %g)" % (x, lo, hi))
-        if type(top) is not int or not 0 <= top <= self.derivative_cap:
-            top = _exponent(top, "derivative order", math.inf)
-            if top > self.derivative_cap:
-                raise OrderExceedsCap("derivative order %d exceeds cap %d"
-                                      % (top, self.derivative_cap))
+        if type(top) is not int or not 0 <= top <= MAX_ORDER:
+            top = _exponent(top, "derivative order", MAX_ORDER)
         index, factor = _gather(self._exponents, self._table_size, top)
         table = self._table_size
         values = np.empty((len(xs), table + len(self._others) * (top + 1)))

@@ -81,7 +81,7 @@ _PARAMETERS = {"power": ("s", "s"), "sine": ("omega", "omega"),
                "cosine": ("omega", "omega"), "exponential": ("lambda", "rate")}
 
 
-def _parse_basis_entry(entry, index, cap):
+def _parse_basis_entry(entry, index):
     if not isinstance(entry, dict) or "kind" not in entry:
         _fail("basis", "entry %d must be an object with a 'kind'" % index)
     kind = entry["kind"]
@@ -98,8 +98,8 @@ def _parse_basis_entry(entry, index, cap):
         tree = entry.get("tree")
         if not isinstance(tree, str):
             _fail("basis", "entry %d: expr needs a 'tree' string" % index)
-        return (_reported("basis", basis_mod.expression, tree, cap,
-                          index=index), {"kind": "expr", "tree": tree})
+        return (_reported("basis", basis_mod.expression, tree, index=index),
+                {"kind": "expr", "tree": tree})
     _fail("basis", "entry %d: unknown kind %r" % (index, kind))
 
 
@@ -124,16 +124,13 @@ def load_problem(path):
     multiplicities = _reported("multiplicities", positive_integers,
                                multiplicities)
 
-    # solve reads derivatives up to order alpha + 1
-    cap = max(basis_mod.EXPRESSION_CAP, max(multiplicities) + 1)
-
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list) or len(raw_basis) < 2:
         _fail("basis", "expected a list of at least 2 entries")
     members = []
     normalized_basis = []
     for index, entry in enumerate(raw_basis):
-        member, canon = _parse_basis_entry(entry, index, cap)
+        member, canon = _parse_basis_entry(entry, index)
         members.append(member)
         normalized_basis.append(canon)
 

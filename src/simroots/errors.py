@@ -5,10 +5,6 @@ class SimrootsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class OrderExceedsCap(SimrootsError):
-    """A derivative of higher order than the declared cap was requested."""
-
-
 class DomainError(SimrootsError):
     """An evaluation point lies outside the declared open interval."""
 

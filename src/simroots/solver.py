@@ -54,6 +54,7 @@ from enum import Enum
 
 import numpy as np
 
+from .basis import MAX_ORDER
 from .confluent import (_row_maxima, checked_index, finite_real,
                         node_null_vector, node_rows, positive_integers,
                         real_sequence)
@@ -232,8 +233,8 @@ def _guarded_quotient(numerator, term_a, term_b, label):
 def _check_inputs(f, alphas, settings):
     """DimensionMismatch unless the multiplicities alphas (a list of ints)
     sum to the basis degree; InvalidConfiguration for ehrlich off the
-    monomial basis, or when the method needs derivatives above the basis
-    cap.  Returns the highest order the method's sweeps read."""
+    monomial basis, or when the method needs derivatives above
+    basis.MAX_ORDER.  Returns the highest order the method's sweeps read."""
     if sum(alphas) != len(f.basis) - 1:
         raise DimensionMismatch(
             "multiplicities sum to %d but the basis supports degree %d"
@@ -245,10 +246,10 @@ def _check_inputs(f, alphas, settings):
     alpha = max(alphas, default=1)
     order = 1 if settings.method == "ehrlich" else alpha + 1
     needed = max(order, alpha - 1)
-    if needed > f.basis.derivative_cap:
+    if needed > MAX_ORDER:
         raise InvalidConfiguration(
             "%s needs derivatives of order %d but the basis caps them at %d"
-            % (settings.method, needed, f.basis.derivative_cap))
+            % (settings.method, needed, MAX_ORDER))
     return order
 
 

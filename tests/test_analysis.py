@@ -172,6 +172,47 @@ def test_congruence_zero_row_on_the_reference_example(reference_problem):
     assert deviations[1] > deviations[2] > deviations[3]
 
 
+def _congruence_point_by_point(f):
+    """check_derivative_congruence from one q_value and one f.eval per
+    probe point, as the table was first computed."""
+    true_cfg = f.construction_roots
+    locs = true_cfg.locations
+    grid = np.linspace(min(locs) - 0.5, max(locs) + 0.5, 25)
+    table = []
+    for delta in (0.0, 1e-2, 1e-3, 1e-4):
+        shifted = RootConfiguration(
+            tuple((loc + delta, m) for loc, m in true_cfg.nodes))
+        worst = 0.0
+        for i, (_, alpha) in enumerate(true_cfg.nodes):
+            for x in grid:
+                dev = abs(q_value(f.basis, shifted, i, float(x))
+                          - f.construction_scale * f.eval(float(x), alpha))
+                if dev > worst:
+                    worst = dev
+        table.append((delta, worst))
+    return table
+
+
+@pytest.mark.parametrize("basis, nodes", [
+    (make_reference_basis(), ((-0.5, 2), (3.0, 2))),
+    (_monomials(8), ((-0.8, 3), (-0.1, 1), (0.4, 2), (0.9, 1)))],
+    ids=["double-double", "monomial-3121"])
+def test_congruence_builds_each_node_block_once(basis, nodes, monkeypatch):
+    # one tensor per shifted node block and one per multiplicity
+    f = from_roots(basis, RootConfiguration(nodes))
+    expected = _congruence_point_by_point(f)
+    calls = []
+    tensor = BasisSystem.tensor
+
+    def counted(self, xs, top):
+        calls.append(top)
+        return tensor(self, xs, top)
+
+    monkeypatch.setattr(BasisSystem, "tensor", counted)
+    assert check_derivative_congruence(f) == expected
+    assert len(calls) == 4 + len({alpha for _, alpha in nodes})
+
+
 def test_estimate_order_on_the_reference_example(reference_problem):
     _, f = reference_problem
     report = solve(f, (-0.4, 2.8), (2, 2))

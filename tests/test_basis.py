@@ -17,7 +17,6 @@ from simroots import (
     ExpressionParseError,
     GeneralizedPolynomial,
     InvalidConfiguration,
-    OrderExceedsCap,
     constant,
     cosine,
     exponential,
@@ -29,7 +28,7 @@ from simroots import (
     power,
     sine,
 )
-from simroots.basis import MAX_EXPONENT, _column, _gather
+from simroots.basis import MAX_EXPONENT, MAX_ORDER, _column, _gather
 
 GENERIC_POINTS = (-1.3, -0.4, 0.7, 1.9)
 
@@ -172,23 +171,23 @@ def test_rows_check_the_domain_and_the_cap():
     for x in (-0.2, 1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             system.rows(x, 1)
-    capped = BasisSystem((constant(), expression("x*x", derivative_cap=3)))
-    assert capped.rows(0.5, 3)[2].tolist() == [0.0, 2.0]
-    with pytest.raises(OrderExceedsCap):
-        capped.rows(0.5, 4)
+    members = BasisSystem((constant(), expression("x*x")))
+    assert members.rows(0.5, MAX_ORDER)[2].tolist() == [0.0, 2.0]
+    with pytest.raises(InvalidConfiguration, match="derivative order"):
+        members.rows(0.5, MAX_ORDER + 1)
 
 
 def test_eval_raises_what_rows_raises():
-    # eval is one entry of rows, so another member's overflow or cap
-    # decides: exp(800 x) overflows at x = 2; x*x caps its orders at 8,
-    # sine at 100
+    # eval is one entry of rows, so another member's overflow decides:
+    # exp(800 x) overflows at x = 2; every member stops at MAX_ORDER
     system = BasisSystem((constant(), power(1), exponential(800.0)))
     capped = BasisSystem((sine(1.0), expression("x*x")))
+    top = MAX_ORDER + 1
     for exc, reads in (
             (OverflowError, (lambda: system.eval(1, 2.0),
                              lambda: system.rows(2.0, 0))),
-            (OrderExceedsCap, (lambda: capped.eval(0, 0.5, 9),
-                               lambda: capped.rows(0.5, 9)))):
+            (InvalidConfiguration, (lambda: capped.eval(0, 0.5, top),
+                                    lambda: capped.rows(0.5, top)))):
         messages = []
         for read in reads:
             with pytest.raises(exc) as info:
@@ -196,12 +195,15 @@ def test_eval_raises_what_rows_raises():
             messages.append(str(info.value))
         assert messages[0] == messages[1]
     assert system.eval(1, 0.5) == 0.5
-    assert capped.eval(0, 0.5, 8) == math.sin(0.5 + 8 * math.pi / 2.0)
+    assert capped.eval(0, 0.5, MAX_ORDER) == math.sin(
+        0.5 + MAX_ORDER * math.pi / 2.0)
 
 
-@pytest.mark.parametrize("order", [-1, True, 2.5, None, "1", math.nan])
+@pytest.mark.parametrize("order", [-1, True, 2.5, None, "1", math.nan,
+                                   MAX_ORDER + 1])
 def test_derivative_orders_are_nonnegative_integers(order):
-    # at the orders -1 and True the tensor was empty and of order 1
+    # at the orders -1 and True the tensor was empty and of order 1, and
+    # jet_propagate built a jet of any order
     system = BasisSystem((constant(), power(2), sine(1.0),
                           expression("x*x")))
     f = GeneralizedPolynomial(system, np.ones(4))
@@ -229,8 +231,8 @@ def test_integral_orders_read_as_ints():
     # 2.7 is no order, though int() would read it as 2
     with pytest.raises(InvalidConfiguration, match="derivative order"):
         jet_propagate(tree, 0.5, 2.7)
-    for order in (9, 9.0):  # x*x caps its orders at 8
-        with pytest.raises(OrderExceedsCap):
+    for order in (MAX_ORDER + 1, MAX_ORDER + 1.0):
+        with pytest.raises(InvalidConfiguration, match="derivative order"):
             system.tensor([0.5], order)
 
 
@@ -482,32 +484,6 @@ def test_catalog_parameters_are_finite_reals(constructor, value):
         constructor(value)
 
 
-def test_expression_cap_enforced():
-    b = expression("sin(x)", derivative_cap=4)
-    with pytest.raises(OrderExceedsCap):
-        eval_basis(b, 0.0, 5)
-    for cap in (2, 2.0, np.int64(2)):
-        member = expression("x*x", derivative_cap=cap)
-        assert member.derivative_cap == 2
-        assert type(member.derivative_cap) is int
-    assert expression("x", derivative_cap=0).derivative_cap == 0
-
-
-@pytest.mark.parametrize("cap", [2.7, "8", True, -1, None, math.nan,
-                                 math.inf])
-def test_expression_cap_is_a_nonnegative_integer(cap):
-    with pytest.raises(InvalidConfiguration, match="derivative cap"):
-        expression("x*x", derivative_cap=cap)
-
-
-@pytest.mark.parametrize("cap", [2.7, "8", True, -1, None, math.nan])
-def test_system_checks_the_cap_of_a_hand_built_member(cap):
-    # a member built without expression() reaches the system unchecked
-    member = BasisFunction("expression", tree=("x",), derivative_cap=cap)
-    with pytest.raises(InvalidConfiguration, match="derivative cap"):
-        BasisSystem((constant(), member))
-
-
 def test_system_domain_checked_on_eval():
     system = BasisSystem((constant(), power(1)), domain=(0.0, 1.0))
     assert system.eval(1, 0.5, 0) == 0.5
@@ -527,6 +503,19 @@ def test_system_rejects_unknown_kinds():
     # before any evaluation, so that solve never sees the member
     with pytest.raises(InvalidConfiguration, match="unknown basis kind 'cubic'"):
         BasisSystem((constant(), power(1), BasisFunction("cubic")))
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("sine", "omega", "3"), ("sine", "omega", True),
+    ("cosine", "omega", None), ("cosine", "omega", math.nan),
+    ("exponential", "rate", "2"), ("exponential", "rate", math.inf)])
+def test_system_checks_the_parameter_of_a_hand_built_member(kind, name, value):
+    # a member built without sine(), cosine() or exponential() reached the
+    # system unchecked: "3" raised TypeError in tensor, and True ran as 1
+    member = BasisFunction(kind, **{name: value})
+    with pytest.raises(InvalidConfiguration,
+                       match="%s must be a finite real number" % name):
+        BasisSystem((constant(), power(1), member))
 
 
 def test_system_rejects_empty_domain():
@@ -555,17 +544,12 @@ def test_system_domain_is_stored_as_floats():
                        domain=(-math.inf, 0)).domain == (-math.inf, 0.0)
 
 
-def test_system_cap_is_minimum_over_members():
-    system = BasisSystem((constant(), expression("x*x", derivative_cap=3)))
-    assert system.derivative_cap == 3
-    member = BasisFunction("expression", tree=("x",), derivative_cap=2.0)
-    assert type(BasisSystem((constant(), member)).derivative_cap) is int
-
-
 def test_reference_system():
     system = make_reference_basis()
     assert len(system) == 5
-    assert system.derivative_cap >= 4
+    assert system.rows(0.5, MAX_ORDER).shape == (MAX_ORDER + 1, 5)
+    with pytest.raises(InvalidConfiguration, match="derivative order"):
+        system.rows(0.5, MAX_ORDER + 1)
     assert system.eval(1, 2.0, 0) == pytest.approx(4.0)
     assert system.eval(3, 0.0, 1) == pytest.approx(-1.0)
     assert system.eval(2, 0.0, 1) == pytest.approx(3.0)

@@ -24,7 +24,6 @@ PUBLIC = [
     "IterateCollision",
     "IterationState",
     "OrderEstimate",
-    "OrderExceedsCap",
     "ProblemFileError",
     "RootConfiguration",
     "SimrootsError",

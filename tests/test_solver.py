@@ -39,8 +39,8 @@ from simroots import (
     solve,
 )
 from simroots import cli, solver
-from simroots.basis import (BasisSystem, constant, cosine, exponential,
-                            expression, power, sine)
+from simroots.basis import (MAX_ORDER, BasisSystem, constant, cosine,
+                            exponential, expression, power, sine)
 from simroots.confluent import (_node_block, node_null_vector, node_rows,
                                 positive_integers)
 from simroots.solver import METHODS, _step
@@ -302,7 +302,7 @@ def test_orders_above_the_basis_cap_are_refused_by_every_method():
     n = 102
     f = GeneralizedPolynomial(_monomials(n + 1), np.array(
         [math.comb(n, k) * (-0.5) ** (n - k) for k in range(n + 1)]))
-    assert f.basis.derivative_cap == 100
+    assert MAX_ORDER == 100
     for method, order in (("method3", 103), ("method13", 103),
                           ("ehrlich", 101)):
         with pytest.raises(InvalidConfiguration, match=(
@@ -500,13 +500,15 @@ def test_a_start_outside_the_domain_escapes_before_it_collides(method):
     assert report.final_residuals == [math.inf, math.inf]
 
 
-def test_derivative_orders_above_the_cap_are_rejected():
-    # a 9-fold root needs order 10 from members capped at 8
+def test_a_nine_fold_root_of_expression_members_solves():
+    # the sweeps read order 10 of x^0 .. x^9, which expression members
+    # once refused above order 8
     system = BasisSystem(tuple(expression("x^%d" % s) for s in range(10)))
-    f = GeneralizedPolynomial(system, np.ones(10))
-    for method in ("method3", "method13"):
-        with pytest.raises(InvalidConfiguration):
-            solve(f, (0.3,), (9,), SolverSettings(method=method))
+    f = from_roots(system, RootConfiguration(((0.3, 9),)))
+    report = solve(f, (0.31,), (9,), SolverSettings(method="method13"))
+    assert report.status is SolveStatus.converged
+    assert report.iterations_used == 2
+    assert abs(report.history[-1].approximations[0] - 0.3) < 1e-15
 
 
 def test_max_iterations(reference_problem):
