@@ -82,9 +82,10 @@ _PARAMETERS = {"power": ("s", "s"), "sine": ("omega", "omega"),
 
 
 def _parse_basis_entry(entry, index):
-    if not isinstance(entry, dict) or "kind" not in entry:
-        _fail("basis", "entry %d must be an object with a 'kind'" % index)
-    kind = entry["kind"]
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if not isinstance(kind, str):
+        _fail("basis", "entry %d must be an object with a 'kind' string"
+              % index)
     if kind == "constant":
         return basis_mod.constant(), {"kind": "constant"}
     if kind in _PARAMETERS:

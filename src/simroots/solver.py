@@ -45,6 +45,17 @@ For the same reason a sweep (_step) returns the snapshot it read, tensor
 included, and the convergence check after a sweep that kept every
 iterate's bytes (one that held every root) reads the residuals from its
 row sums or its tensor (_final_state), not from the basis again.
+
+solve also stops (stalled) at a cycle that no later sweep leaves, though
+its bytes do not repeat yet (_cycle): a state within rounding of state
+k - 2, as at a multiple root whose iterate alternates between two points
+at the resolution floor; or a root of even multiplicity alpha whose
+corrections keep their size and flip their sign, the factor 1 - alpha/mu
+= -1 of a step for multiplicity alpha at a zero of multiplicity mu =
+alpha/2 (Traub, Iterative Methods for the Solution of Equations, 1964).
+Both tests run only after a sweep whose largest correction did not fall
+below half the one before.  The corrections of a converging solve fall
+far faster, so it almost never pays for them.
 """
 
 import math
@@ -85,8 +96,21 @@ HOLD_FLOOR = NOISE_FLOOR_FACTOR * EPS  # of the hold and _snapshot's scan
 
 # A correction-converged state must also look like a root of the claimed
 # multiplicities; otherwise the iteration is frozen at a foreign zero and
-# must not report convergence.
+# must not report convergence.  The bound is this factor times the
+# largest |coefficient| plus the term magnitude, so it scales with f.
 RESIDUAL_VALIDATION_FACTOR = 1e-6
+
+# The tests for a cycle the solve cannot leave (_cycle).  A converging
+# solve's largest correction falls far below STEADY_SHARE of the one
+# before, so it skips them.  4 eps (1 + |x_i|) is 8.9e-4 of the collision
+# limit.  The reflection floor lies between the 5.5e-9 corrections of the
+# period-2 cycles at a double root's resolution floor, which repeat within
+# rounding before three ratios exist, and the 1e-4 and more of the
+# reflections about a simple zero claimed double on the paper's basis.
+STEADY_SHARE = 0.5
+REPEAT_ROUNDING = 4.0
+REFLECTION_BAND = (-1.05, -0.9)
+REFLECTION_FLOOR = 1e-6
 
 METHODS = ("method3", "method13", "ehrlich")
 
@@ -154,6 +178,7 @@ class SolveReport:
     status: SolveStatus
     iterations_used: int
     final_residuals: list
+    reason: str | None = None  # which rule ended a stalled solve
 
 
 def _check_collisions(xs):
@@ -378,7 +403,8 @@ def _final_state(f, xs, mult, plan=None, snapshot=None):
     alpha_i in root order, inf for every order of a root where a sum is
     None (x_i left the basis domain or a value the float range), and
     whether every root's sums are finite and each value is at most
-    RESIDUAL_VALIDATION_FACTOR (1 + its term magnitude).  Given the
+    RESIDUAL_VALIDATION_FACTOR (|a|_inf + its term magnitude), |a|_inf the
+    largest |coefficient|, a bound that scales with f.  Given the
     _snapshot a sweep with this plan built at these approximations (the
     same bytes), the sums are read from it: the first alpha_i of root i's
     pair of sums when the plan is paired, else the node rows of its
@@ -406,6 +432,7 @@ def _final_state(f, xs, mult, plan=None, snapshot=None):
                     sums += f.row_sums(f.basis.rows(x, alpha - 1))
                 except (DomainError, OverflowError):
                     sums += [None] * alpha
+    norm = max(map(abs, f.coefficients.tolist()))  # |a|_inf
     residuals, passes, end = [], True, 0
     for alpha in alphas:
         root = sums[end:end + alpha]
@@ -416,9 +443,42 @@ def _final_state(f, xs, mult, plan=None, snapshot=None):
             continue
         for value, magnitude in root:
             residuals.append(abs(value))
-            if abs(value) > RESIDUAL_VALIDATION_FACTOR * (1.0 + magnitude):
+            if abs(value) > RESIDUAL_VALIDATION_FACTOR * (norm + magnitude):
                 passes = False
     return residuals, passes
+
+
+def _cycle(history):
+    """Why the last state k of history, reached by a sweep whose largest
+    correction is at least STEADY_SHARE of the one before's, ends its
+    solve as stalled, or None.  In this order: every x_i is within
+    REPEAT_ROUNDING eps (1 + |x_i|) of state k - 2's; or some root i of
+    even multiplicity alpha reflects: its corrections of sweeps k - 3 to
+    k all exceed REFLECTION_FLOOR (1 + |x_i|), and each one over the one
+    before lies in REFLECTION_BAND, about 1 - alpha/mu = -1 for mu =
+    alpha/2, the contraction factor of a step for multiplicity alpha at
+    a zero of multiplicity mu.  The first root in index order names it."""
+    state = history[-1]
+    xs = state.approximations
+    width = EPS * (1.0 + np.abs(xs))
+    if (np.abs(xs - history[-3].approximations)
+            <= REPEAT_ROUNDING * width).all():
+        return "state %d is within %g eps of state %d (period 2)" % (
+            state.k, REPEAT_ROUNDING, state.k - 2)
+    if state.k < 4:
+        return None
+    recent = np.array([s.last_corrections for s in history[-4:]])
+    mult = state.multiplicities
+    above = (np.abs(recent) > REFLECTION_FLOOR * (1.0 + np.abs(xs))).all(0)
+    low, high = REFLECTION_BAND
+    for i in np.flatnonzero(above & (mult % 2 == 0)).tolist():
+        ratios = (recent[1:, i] / recent[:-1, i]).tolist()
+        if all(low <= ratio <= high for ratio in ratios):
+            return ("root %d reflects: correction ratios %s about "
+                    "1 - alpha/mu = -1 (alpha %d, mu %d)" % (
+                        i, ", ".join("%.4f" % r for r in ratios), mult[i],
+                        mult[i] // 2))
+    return None
 
 
 def _accepted(approximations, multiplicities, k, corrections):
@@ -432,30 +492,39 @@ def _accepted(approximations, multiplicities, k, corrections):
 
 def solve(f, initial, multiplicities, settings=None):
     """Iterate the selected method until the largest correction falls
-    below tolerance, a state repeats, the budget runs out or a guard fires.
+    below tolerance, a cycle shows, the budget runs out or a guard fires.
 
     Guards never raise out of this function; they land in report.status.
     Inputs no sweep can iterate raise DimensionMismatch or
     InvalidConfiguration (see IterationState and _check_inputs), checked
     once for the _plan all sweeps read.  The report history includes the
     initial snapshot, so its length is iterations_used + 1.  One domain
-    test per state, ahead of the repeat and budget tests, ends the solve
+    test per state, ahead of the cycle and budget tests, ends the solve
     at a state outside the basis domain as domain_escape; a sweep below
     tolerance is checked for convergence first, which an escaped root's
-    inf residuals fail.  A state with the approximation bytes of an
-    earlier one (-0.0 is not 0.0) ends the solve as stalled, even at the
-    budget: every later sweep would repeat one before it.  The convergence
-    check reads the sweep's snapshot when the sweep kept the iterates'
-    bytes, and a fresh tensor otherwise; the final residuals are fresh
-    unless that check read them at the final bytes (_final_state).
+    inf residuals fail.  Then three tests end the solve as stalled, even
+    at the budget, the first that holds naming itself in report.reason:
+    the state has the approximation bytes of an earlier state j (-0.0 is
+    not 0.0; "state k repeats state j (period k - j)"), since every later
+    sweep would repeat one before it; or, after a sweep whose largest
+    correction is at least STEADY_SHARE of the sweep before's, every x_i
+    is within REPEAT_ROUNDING eps (1 + |x_i|) of state k - 2 ("state k is
+    within 4 eps of state k - 2 (period 2)"), or a root of even
+    multiplicity reflects ("root i reflects: correction ratios ..., mu";
+    see _cycle).  The reason is None for every other status.  The
+    convergence check reads the sweep's snapshot when the sweep kept the
+    iterates' bytes, and a fresh tensor otherwise; the final residuals
+    are fresh unless that check read them at the final bytes
+    (_final_state).
     """
     settings = settings or SolverSettings()
     state = IterationState(initial, multiplicities)
     mult = state.multiplicities
     plan = _plan(f, mult, settings)
     history = [state]
-    residuals = summed = None
-    seen = set()  # approximations.tobytes() of every accepted state
+    residuals = summed = reason = None
+    seen = {}  # approximations.tobytes() of every accepted state -> its k
+    largest, steady = math.inf, False  # the last sweep's largest correction
 
     while True:
         if not all(map(f.basis.contains, state.approximations.tolist())):
@@ -464,8 +533,15 @@ def solve(f, initial, multiplicities, settings=None):
         key = state.approximations.tobytes()
         if key in seen:
             status = SolveStatus.stalled
+            reason = "state %d repeats state %d (period %d)" % (
+                state.k, seen[key], state.k - seen[key])
             break
-        seen.add(key)
+        seen[key] = state.k
+        if steady:
+            reason = _cycle(history)
+            if reason is not None:
+                status = SolveStatus.stalled
+                break
         if state.k >= settings.max_iterations:
             status = SolveStatus.max_iterations
             break
@@ -483,7 +559,9 @@ def solve(f, initial, multiplicities, settings=None):
             break
         state = _accepted(new, mult, state.k + 1, corrections)
         history.append(state)
-        if np.abs(corrections).max() < settings.tolerance:
+        previous, largest = largest, np.abs(corrections).max()
+        steady = largest >= STEADY_SHARE * previous
+        if largest < settings.tolerance:
             summed = new.tobytes()
             residuals, passes = _final_state(
                 f, new, mult, plan, snapshot if summed == key else None)
@@ -494,4 +572,4 @@ def solve(f, initial, multiplicities, settings=None):
     final = history[-1]
     if summed != final.approximations.tobytes():
         residuals, _ = _final_state(f, final.approximations, mult)
-    return SolveReport(history, status, final.k, residuals)
+    return SolveReport(history, status, final.k, residuals, reason)

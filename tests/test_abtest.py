@@ -55,8 +55,35 @@ def test_a_tree_timed_against_itself_gives_an_interval_holding_one(
     assert set(rows) == {"n6.method3", "n10.method3", "n14.method3",
                          "mixed.method13", "mixed.method3", "all"}
     assert rows["all"][1] == "117"  # one round of every entry
-    low, high = map(float, re.findall(r"[\d.]+", " ".join(rows["all"][6:])))
+    low, high = map(float, re.findall(r"[\d.]+", " ".join(rows["all"][7:])))
     assert low < 1.0 < high
+
+
+def test_the_summed_ratio_sees_a_gain_the_median_ratio_misses(monkeypatch,
+                                                              capsys):
+    # each pair reads the clock four times: start and end of the side run
+    # first, then of the other.  Every op takes 1 s, but the side run
+    # second in every fourth pair takes 10 s: the change, since the first
+    # pair of each four runs the parent first.  So the median ratio stays
+    # 1 while the change's summed time is 117 + 9 * 30 s against 117 s
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import abtest
+
+    calls = [0]
+
+    def clock():
+        pair, read = divmod(calls[0], 4)
+        calls[0] += 1
+        return (20 * pair + (read >= 1) + (read >= 2)
+                + (read == 3) * (10 if pair % 4 == 0 else 1))
+
+    assert abtest.main([str(ROOT), str(ROOT), "--workload", "monomial_det",
+                        "--seed", "1"], clock=clock) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4].split()[6:8] == ["ratio", "summed"]
+    row = {line.split()[0]: line.split() for line in lines[5:]}["all"]
+    assert row[1:7] == ["117", "1000.0000", "1000.0000", "1.0000",
+                        "%.4f" % (387 / 117), "0.000"]
 
 
 def test_the_header_names_the_machine_and_each_checkout(monkeypatch, capsys,

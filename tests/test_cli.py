@@ -360,6 +360,9 @@ def test_rejection_messages_name_the_field(tmp_path, capsys):
             {"kind": "constant"}, {"kind": "power", "s": 1},
             {"kind": "exponential", "lambda": "3"}, {"kind": "power", "s": 3},
             {"kind": "power", "s": 4}])),
+        # a kind that is not a string names no member
+        ("basis", dict(REFERENCE_PROBLEM, basis=[
+            {"kind": "constant"}, {"kind": 2}])),
         # the problem file is not an object, so no field is named
         ("must hold a JSON object", [REFERENCE_PROBLEM]),
         ("multiplicities", dict(REFERENCE_PROBLEM, multiplicities=2)),
@@ -397,6 +400,44 @@ def test_rejection_messages_name_the_field(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert field in err
+
+
+def test_coefficients_times_a_power_of_two_give_the_same_verdict(tmp_path,
+                                                                 capsys):
+    # a (3, 2, 2, 1) monomial problem whose method13 solve holds a point
+    # 0.159 from its roots; its coefficients times 2^-30 once passed the
+    # residual check there, since the bound did not scale with them
+    from test_metamorphic import MONOMIAL
+
+    f, initial, multiplicities = MONOMIAL[9]
+    basis = [{"kind": "constant"}] + [{"kind": "power", "s": s}
+                                      for s in range(1, len(f.coefficients))]
+    verdicts = []
+    for name, c in (("unscaled", 1.0), ("scaled", 2.0 ** -30)):
+        problem = _write_problem(tmp_path, dict(
+            REFERENCE_PROBLEM, basis=basis,
+            polynomial={"coefficients": (c * f.coefficients).tolist()},
+            initial=list(initial), multiplicities=list(multiplicities)),
+            name + ".json")
+        code = main(["run", str(problem), "--out", str(tmp_path)])
+        summary = (tmp_path / (name + ".summary.txt")).read_text()
+        verdicts.append((code, [line for line in summary.splitlines()
+                                if "status=" in line]))
+    capsys.readouterr()
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == 2
+    assert "method13: status=stalled iterations=7" in verdicts[0][1]
+
+
+@pytest.mark.parametrize("kind", [[None, None], {}])
+def test_a_kind_that_cannot_be_looked_up_is_refused(kind, tmp_path, capsys):
+    # an array or object kind is unhashable: it must not reach a lookup
+    problem = _write_problem(tmp_path, dict(REFERENCE_PROBLEM, basis=[
+        {"kind": "constant"}, {"kind": kind}]))
+    assert main(["run", str(problem), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: field 'basis': entry 1 must be an object with a "
+                   "'kind' string"]
 
 
 def test_unreadable_and_malformed_files(tmp_path, capsys):

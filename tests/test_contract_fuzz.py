@@ -9,10 +9,11 @@ leave the float range, and starts anywhere in [-1e308, 1e308]:
 - single_correction, called alone, and the corrections of the sweep _step
   agree bitwise on every drawn snapshot, or raise the same exception;
 - solve gives the report of the loop that computes every sweep, cut at
-  its first repeated snapshot, bit for bit, or raises the same input
-  error; a report other than converged is stalled exactly when its last
-  state repeats an earlier one, and max_iterations spends the budget on
-  states that all differ.
+  the first state that ends a cycle (a repeat, bit for bit or within
+  rounding, or a reflecting root), bit for bit, or raises the same input
+  error; a report other than converged or domain_escape is stalled
+  exactly when its last state ends a cycle, with that rule's reason, and
+  max_iterations spends the budget on states none of which does.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
@@ -37,7 +38,7 @@ from simroots.basis import (BasisSystem, constant, cosine, exponential,
                             inverse_quadratic, power, sine)
 from simroots.solver import METHODS, _step
 
-from reference_loop import (cut_at_first_repeat, first_repeat,
+from reference_loop import (cut_at_first_stall, first_stall,
                             reference_solve, report_bytes)
 
 # no deadline or speed health check: timings vary with the host's load
@@ -137,12 +138,14 @@ def test_solve_matches_the_loop_that_computes_every_sweep(problem, budget):
         assert expected in (DimensionMismatch, InvalidConfiguration)
         assert got is expected
         return
-    assert report_bytes(got) == report_bytes(cut_at_first_repeat(f, expected))
-    repeat = first_repeat(got.history)
-    # only the last state may repeat an earlier one; a solve may also
-    # converge there, as when a sweep holds every root at a root
-    assert repeat is None or repeat[1] == got.iterations_used
-    if got.status is not SolveStatus.converged:
-        assert (repeat is not None) is (got.status is SolveStatus.stalled)
+    assert report_bytes(got) == report_bytes(cut_at_first_stall(f, expected))
+    stall = first_stall(got.history)
+    # only the last state may end a cycle; a solve may also converge or
+    # leave the domain there, as when a sweep holds every root at a root
+    assert stall is None or stall[0] == got.iterations_used
+    if got.status not in (SolveStatus.converged, SolveStatus.domain_escape):
+        assert (stall is not None) is (got.status is SolveStatus.stalled)
+    assert got.reason == (stall[1] if got.status is SolveStatus.stalled
+                          else None)
     if got.status is SolveStatus.max_iterations:
         assert got.iterations_used == budget

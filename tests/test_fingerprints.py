@@ -1,12 +1,18 @@
 """tools/fingerprints.py compare: a bit-for-bit check that cannot pass on
-files that hold nothing, and that names what a differing entry did."""
+files that hold nothing, and that names what a differing entry did, each
+method of a CLI run apart."""
 
+import contextlib
+import io
+from dataclasses import replace
 from pathlib import Path
 
-from simroots import DomainError, SolverSettings, from_roots, solve
+from simroots import DomainError, SolverSettings, cli, from_roots, solve
 from simroots.basis import BasisSystem, constant, power
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
+DEMO = ROOT / "problems" / "demo.json"
 
 
 def _files(tmp_path, texts):
@@ -107,9 +113,49 @@ def test_the_status_fields_of_a_solve_a_cli_run_and_a_raise(monkeypatch):
     f = from_roots(BasisSystem((constant(), power(1))), [(0.5, 1)])
     report = solve(f, [0.6], [1], SolverSettings(max_iterations=1))
     assert _verdict(report) == ("max_iterations", "1")
-    # the simple root 0 claimed double: state 5 repeats state 3
+    # the simple root 0 claimed double: state 2 is within rounding of
+    # state 0
     wrong = from_roots(BasisSystem((constant(), power(1), power(2),
                                     power(3))), [(0.0, 1), (1.0, 1), (2.0, 1)])
-    assert _verdict(solve(wrong, [0.0, 1.0], [2, 1])) == ("stalled", "5")
+    assert _verdict(solve(wrong, [0.0, 1.0], [2, 1])) == ("stalled", "2")
     assert _verdict(1) == ("1", "-")
     assert _verdict(DomainError("x")) == ("DomainError", "-")
+
+
+def test_a_cli_run_reads_each_method_s_status_from_its_printed_lines(
+        tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    from fingerprints import _verdict
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(["run", str(DEMO), "--out", str(tmp_path)])
+    problem = cli.load_problem(DEMO)
+    reports = [solve(problem.f, problem.initial, problem.multiplicities,
+                     replace(problem.settings, method=method))
+               for method in problem.methods]
+    assert _verdict(code, printed.getvalue()) == tuple(
+        ",".join("%s=%s" % pair for pair in zip(problem.methods, column))
+        for column in ([r.status.value for r in reports],
+                       [r.iterations_used for r in reports]))
+    # a refused file prints no method line: its exit code stands
+    assert _verdict(1, "") == ("1", "-")
+
+
+def test_compare_counts_a_cli_entry_once_per_method_that_moved(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    from fingerprints import main
+
+    # method3 moved in the first entry; nothing but bits in the second
+    files = _files(tmp_path, {
+        "a": "r 1 0 c aa m3=max_iterations,m13=converged m3=50,m13=4\n"
+             "r 1 1 c bb m3=converged,m13=converged m3=4,m13=3\n",
+        "b": "r 1 0 c ab m3=stalled,m13=converged m3=6,m13=4\n"
+             "r 1 1 c bc m3=converged,m13=converged m3=4,m13=3\n"})
+    assert main(["compare", files["a"], files["b"]]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "r: m13 converged -> converged, 1 entries",
+        "r: m3 converged -> converged, 1 entries",
+        "r: m3 max_iterations -> stalled, 1 entries",
+        "2 of 2 entries differ, 1 in status or iterations"]

@@ -1,5 +1,6 @@
 """tools/opcount.py: work counts that repeat exactly from run to run."""
 
+import gc
 import sys
 from pathlib import Path
 
@@ -62,3 +63,15 @@ def test_counts_restores_the_callers_tracer_and_profiler(monkeypatch):
         sys.settrace(caller[0])
         sys.setprofile(caller[1])
     assert restored == (tracer, profiler)
+
+
+def test_no_garbage_collection_lands_in_a_count(monkeypatch):
+    # a collection would run gc.callbacks inside the count, at a point
+    # that depends on what ran before; the collector is off during op()
+    # and back on after
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from opcount import counts
+
+    seen = []
+    counts(lambda: seen.append(gc.isenabled()))
+    assert seen == [False] and gc.isenabled()

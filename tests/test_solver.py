@@ -45,7 +45,7 @@ from simroots.confluent import (_node_block, node_null_vector, node_rows,
                                 positive_integers)
 from simroots.solver import METHODS, _step
 
-from reference_loop import (cut_at_first_repeat, first_repeat,
+from reference_loop import (cut_at_first_stall, first_stall,
                             reference_solve, report_bytes)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -540,11 +540,11 @@ def test_wrong_multiplicity_claim_never_converges():
     f = from_roots(system, RootConfiguration(((0.0, 1), (1.0, 1), (2.0, 1))))
     # x = 0 is a simple root claimed double: the residual check must
     # refuse convergence even though the corrections are zero there.
-    # State 5 repeats state 3, so the solve stalls at the budget of 5
+    # State 2 is within rounding of state 0, so the solve stalls there
     report = solve(f, (0.0, 1.0), (2, 1),
                    SolverSettings(max_iterations=5))
     assert report.status is SolveStatus.stalled
-    assert report.iterations_used == 5
+    assert report.iterations_used == 2
     assert report.history[-1].approximations == pytest.approx((0.0, 1.0))
 
 
@@ -573,15 +573,21 @@ def _wrong_claim_problem(initial):
     return f, initial, (2, 1)
 
 
-# (problem, method, j, k): state k of the computed loop is the first to
-# repeat an earlier state j bit for bit, at any budget of k sweeps or more
+# (problem, method, j, k, how): state k of the computed loop is the first
+# to repeat an earlier state j, bit for bit ("repeats") or within 4 eps
+# (1 + |x_i|) of state k - 2 ("is within 4 eps of"), at any budget of k
+# sweeps or more.  The fixed mixed problem's double root at 0 alternates
+# between -1.5e-18 and +5.5e-9 from state 3 on, and the wrong claim's
+# simple root 0 between -1.1e-31 and about -1e-47; both repeat within
+# rounding long before their bytes do (at 9 -> 11, 15 -> 17 and 3 -> 5)
 CYCLES = {
-    "mixed method3": (_mixed_problem, "method3", 9, 11),
-    "mixed ehrlich": (_mixed_problem, "ehrlich", 15, 17),
-    "held method13": (_held_method13_problem, "method13", 6, 7),
-    "wrong claim": (lambda: _wrong_claim_problem((0.0, 1.0)), "method3", 3, 5),
+    "mixed method3": (_mixed_problem, "method3", 3, 5, "is within 4 eps of"),
+    "mixed ehrlich": (_mixed_problem, "ehrlich", 3, 5, "is within 4 eps of"),
+    "held method13": (_held_method13_problem, "method13", 6, 7, "repeats"),
+    "wrong claim": (lambda: _wrong_claim_problem((0.0, 1.0)), "method3", 0,
+                    2, "is within 4 eps of"),
     "back to state 0": (lambda: _wrong_claim_problem((1.0, 2.0)), "method3",
-                        0, 1),
+                        0, 1, "repeats"),
 }
 
 
@@ -589,37 +595,39 @@ CYCLES = {
 def test_replayed_cycles_match_the_computed_loop(name):
     # solve ends a cycle at its first repeated state k, a budget of k
     # included, as stalled, with the computed loop's first k + 1 states
-    # bit for bit and the residuals of state k; a smaller budget ends
-    # both loops alike
-    problem, method, j, k = CYCLES[name]
+    # bit for bit, the residuals of state k and a reason naming k and j; a
+    # smaller budget ends both loops alike
+    problem, method, j, k, how = CYCLES[name]
     f, initial, multiplicities = problem()
     for budget in sorted({max(1, k - 1), k, k + 1, k + 2 * (k - j) + 1, 50}):
         settings = SolverSettings(method=method, max_iterations=budget)
         expected = reference_solve(f, initial, multiplicities, settings)
         report = solve(f, initial, multiplicities, settings)
         assert report_bytes(report) == report_bytes(
-            cut_at_first_repeat(f, expected)), budget
+            cut_at_first_stall(f, expected)), budget
         assert expected.status is SolveStatus.max_iterations
         if budget < k:
             assert report.iterations_used == budget
             continue
-        assert first_repeat(expected.history) == (j, k)
+        assert first_stall(expected.history)[0] == k
         assert (report.status, len(report.history)) == (SolveStatus.stalled,
                                                         k + 1)
+        assert report.reason == "state %d %s state %d (period %d)" % (
+            k, how, j, k - j)
 
 
 # (name, computed sweeps, residual checks) at the default budget: one
 # check per computed state that meets the tolerance, and one for the
 # final state unless it has the bytes of the last of them, as in a
 # period-1 hold
-@pytest.mark.parametrize("name, sweeps, sums", [("mixed ehrlich", 17, 1),
-                                                ("mixed method3", 11, 1),
+@pytest.mark.parametrize("name, sweeps, sums", [("mixed ehrlich", 5, 1),
+                                                ("mixed method3", 5, 1),
                                                 ("held method13", 7, 1),
-                                                ("wrong claim", 5, 5),
+                                                ("wrong claim", 2, 2),
                                                 ("back to state 0", 1, 1)])
 def test_sweeps_after_a_repeat_are_not_computed(name, sweeps, sums,
                                                 monkeypatch):
-    problem, method, _, _ = CYCLES[name]
+    problem, method, _, _, _ = CYCLES[name]
     f, initial, multiplicities = problem()
     calls = Counter()
     monkeypatch.setattr(solver, "_step",
@@ -635,12 +643,12 @@ def test_sweeps_after_a_repeat_are_not_computed(name, sweeps, sums,
     # than those of the last computed sweep's snapshot: the final state of
     # a period-2 cycle, and each check of the moving wrong claim
     tensors = sweeps + {"mixed ehrlich": 1, "mixed method3": 1,
-                        "wrong claim": 5}.get(name, 0)
+                        "wrong claim": 2}.get(name, 0)
     assert calls == {"step": sweeps, "sums": sums, "tensor": tensors}
 
 
 def test_a_solve_checks_its_input_once(monkeypatch):
-    # the fixed mixed ehrlich problem computes 17 sweeps and stalls: the
+    # the fixed mixed ehrlich problem computes 5 sweeps and stalls: the
     # sweeps share the plan that checked the input, and the states that
     # solve accepts are not validated again
     f, initial, multiplicities = _mixed_problem()
@@ -652,8 +660,8 @@ def test_a_solve_checks_its_input_once(monkeypatch):
     monkeypatch.setattr(solver, "_step",
                         _counting(calls, "step", solver._step))
     report = solve(f, initial, multiplicities, SolverSettings(method="ehrlich"))
-    assert report.iterations_used == 17
-    assert calls == {"inputs": 1, "state": 1, "step": 17}
+    assert report.iterations_used == 5
+    assert calls == {"inputs": 1, "state": 1, "step": 5}
     for state in report.history:
         assert isinstance(state, IterationState)
         assert state.multiplicities.tolist() == list(multiplicities)
@@ -661,7 +669,7 @@ def test_a_solve_checks_its_input_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["mixed ehrlich", "back to state 0"])
 def test_history_entries_share_no_memory(name):
-    problem, method, _, _ = CYCLES[name]
+    problem, method, _, _, _ = CYCLES[name]
     f, initial, multiplicities = problem()
     report = solve(f, initial, multiplicities, SolverSettings(method=method))
     arrays = [a for s in report.history
@@ -670,6 +678,118 @@ def test_history_entries_share_no_memory(name):
     assert len(arrays) == 3 * len(report.history) - 1
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
+
+
+@pytest.mark.parametrize("name", ["mixed method3", "mixed ehrlich",
+                                  "wrong claim"])
+def test_a_cycle_cut_within_rounding_loses_nothing(name):
+    # the computed loop run to the 50-sweep budget never converges, and
+    # every state after the cut lies within 128 eps (1 + |x_i|), under
+    # 3e-14 here, of a state of the cut cycle j..k: the budget would reach
+    # no position the cut state does not already show
+    problem, method, j, k, _ = CYCLES[name]
+    f, initial, multiplicities = problem()
+    full = reference_solve(f, initial, multiplicities,
+                           SolverSettings(method=method))
+    assert (full.status, full.iterations_used) == (
+        SolveStatus.max_iterations, 50)
+    cycle = [state.approximations for state in full.history[j:k + 1]]
+    for state in full.history[k + 1:]:
+        xs = state.approximations
+        width = 128 * solver.EPS * (1.0 + np.abs(xs))
+        assert any((np.abs(xs - ys) <= width).all() for ys in cycle), state.k
+
+
+def test_the_within_rounding_width_stays_far_below_the_collision_limit():
+    assert solver.REPEAT_ROUNDING * solver.EPS <= 1e-3 * \
+        solver.COLLISION_THRESHOLD
+
+
+@pytest.mark.parametrize("method", ["method3", "ehrlich"])
+def test_a_root_claimed_double_at_a_simple_zero_reflects(method):
+    # the step for multiplicity 2 at a simple zero contracts by 1 - 2/1 =
+    # -1: root 0 jumps across x = 0 with corrections of about 0.6 that do
+    # not shrink.  Its ratios fall in [-1.05, -0.9] from sweep 2 on, so
+    # state 4 ends the solve, a budget of 4 included; the computed loop
+    # runs to its budget
+    f, initial, multiplicities = _wrong_claim_problem((0.3, 1.9))
+    for budget in (3, 4, 5, 50):
+        settings = SolverSettings(method=method, max_iterations=budget)
+        expected = reference_solve(f, initial, multiplicities, settings)
+        report = solve(f, initial, multiplicities, settings)
+        assert report_bytes(report) == report_bytes(
+            cut_at_first_stall(f, expected)), budget
+        assert expected.status is SolveStatus.max_iterations
+        if budget < 4:
+            assert report.reason is None
+            continue
+        assert (report.status, report.iterations_used) == (
+            SolveStatus.stalled, 4)
+        assert report.reason.startswith("root 0 reflects: correction ratios ")
+        assert report.reason.endswith(
+            " about 1 - alpha/mu = -1 (alpha 2, mu 1)")
+
+
+@pytest.mark.parametrize("method", ["method3", "ehrlich"])
+def test_the_floor_cycles_sit_below_the_reflection_floor(method):
+    # the fixed mixed problem's double root at 0 reflects too, with ratios
+    # near -1 from sweep 4 on, but with corrections of 5.5e-9, under the
+    # floor of 1e-6 (1 + |x_i|): the reflection rule never names it, and
+    # the repeat within rounding ends it at state 5
+    f, initial, multiplicities = _mixed_problem()
+    full = reference_solve(f, initial, multiplicities,
+                           SolverSettings(method=method))
+    for state in full.history[3:]:
+        corrections = np.abs(state.last_corrections)
+        assert 5.5e-9 < corrections.max() < 5.6e-9
+        assert (corrections < solver.REFLECTION_FLOOR).all()
+    assert first_stall(full.history)[0] == 5
+
+
+def test_stalled_alone_carries_a_reason(reference_problem):
+    # a report says which rule ended a stalled solve; other statuses
+    # carry None
+    _, f = reference_problem
+    for settings, status in [(SolverSettings(), SolveStatus.converged),
+                             (SolverSettings(max_iterations=1),
+                              SolveStatus.max_iterations)]:
+        report = solve(f, REFERENCE_INITIAL, REFERENCE_MULTIPLICITIES,
+                       settings)
+        assert (report.status, report.reason) == (status, None)
+    report = solve(f, (0.5, 0.5 + 1e-14), REFERENCE_MULTIPLICITIES)
+    assert (report.status, report.reason) == (SolveStatus.iterate_collision,
+                                              None)
+
+
+def test_the_seeded_reflection_cycles_end_early_and_no_converging_solve(
+        monkeypatch, tmp_path):
+    # reference_cli seed 1: 51 method3 solves ran the 50-sweep budget
+    # without a repeated byte (the computed loop's max_iterations with no
+    # repeat), each a reflection about a simple zero; the rule ends at
+    # least 49 of them, and no solve that the computed loop converges.  A
+    # solve ended by a repeat of bytes is none of them
+    cycles = reflected = 0
+    for _, f, initial, multiplicities, settings in _seeded_solves(
+            "reference_cli", monkeypatch, tmp_path):
+        report = solve(f, initial, multiplicities, settings)
+        if report.status not in (SolveStatus.stalled,
+                                 SolveStatus.max_iterations) or \
+                " repeats state " in (report.reason or ""):
+            continue
+        full = reference_solve(f, initial, multiplicities, settings)
+        reflects = report.status is SolveStatus.stalled and \
+            " reflects: " in report.reason
+        assert not (reflects and full.status is SolveStatus.converged)
+        keys = {state.approximations.tobytes() for state in full.history}
+        if full.status is SolveStatus.max_iterations and \
+                len(keys) == len(full.history):
+            assert settings.method == "method3"
+            cycles += 1
+            reflected += reflects
+            if reflects:
+                assert report.iterations_used < 20
+    assert cycles == 51
+    assert reflected >= 49
 
 
 def test_scale_invariance_of_a_single_step(reference_problem):
@@ -910,7 +1030,7 @@ def test_residuals_read_from_the_last_sweep_match_a_fresh_check(
     cycle = _mixed_problem()
     for f, initial, multiplicities in cases + [cycle]:
         report = solve(f, initial, multiplicities, settings)
-        assert report_bytes(report) == report_bytes(cut_at_first_repeat(
+        assert report_bytes(report) == report_bytes(cut_at_first_stall(
             f, reference_solve(f, initial, multiplicities, settings)))
         final = report.history[-1].approximations
         residuals, passes = fresh(f, final, report.history[0].multiplicities)
@@ -1108,7 +1228,7 @@ def test_ehrlich_solves_match_the_computed_loop(multiplicities):
     f, state = _monomial_snapshot(multiplicities)
     settings = SolverSettings(method="ehrlich")
     for initial in (state.approximations, 0.9 * state.approximations):
-        expected = cut_at_first_repeat(f, reference_solve(
+        expected = cut_at_first_stall(f, reference_solve(
             f, initial, multiplicities, settings))
         report = solve(f, initial, multiplicities, settings)
         assert report_bytes(report) == report_bytes(expected)

@@ -14,12 +14,14 @@ directory.  One pair is one entry in one round, and its ratio is the
 change's time over the parent's.
 
 Per slice and over all pairs, it prints each side's median op time, the
-median ratio, the share of pairs the change wins (ratio below 1), and a 95%
-bootstrap interval of the median ratio.  A header above the table gives the
-run context: the machine (nproc, CPU, Python and numpy versions) and, per
-side, the checkout's root, its git commit ("none" outside a git checkout of
-its own, "+modified" when `src/` differs from the commit) and the line count
-of its `src/`.  Nothing under either checkout is written, and no bytecode is
+median ratio, the ratio of the change's summed time to the parent's (what
+a throughput such as `ops_per_s` reads: a gain confined to a few slow ops
+moves it and barely moves the median), the share of pairs the change wins
+(ratio below 1), and a 95% bootstrap interval of the median ratio.  A
+header above the table gives the run context: the machine (nproc, CPU,
+Python and numpy versions) and, per side, the checkout's root, its git
+commit ("none" outside a git checkout of its own, "+modified" when `src/`
+differs from the commit) and the line count of its `src/`.  Nothing under either checkout is written, and no bytecode is
 cached.
 """
 
@@ -27,6 +29,7 @@ import argparse
 import contextlib
 import importlib
 import importlib.util
+import math
 import os
 import platform
 import shutil
@@ -161,8 +164,8 @@ def time_pairs(sides, rounds, out_dir, clock=time.perf_counter):
 
 
 def summarize(pairs, rng):
-    """(pairs, parent ms, change ms, median ratio, share the change wins,
-    interval low, interval high) over the given pairs."""
+    """(pairs, parent ms, change ms, median ratio, summed ratio, share the
+    change wins, interval low, interval high) over the given pairs."""
     ratios = np.array([ratio for _, _, ratio in pairs])
     medians = [float(np.median(rng.choice(ratios, len(ratios))))
                for _ in range(RESAMPLES)]
@@ -170,8 +173,10 @@ def summarize(pairs, rng):
     return (len(ratios),
             1e3 * statistics.median(seconds[0] for _, seconds, _ in pairs),
             1e3 * statistics.median(seconds[1] for _, seconds, _ in pairs),
-            float(np.median(ratios)), float(np.mean(ratios < 1.0)),
-            low, high)
+            float(np.median(ratios)),
+            math.fsum(seconds[1] for _, seconds, _ in pairs)
+            / math.fsum(seconds[0] for _, seconds, _ in pairs),
+            float(np.mean(ratios < 1.0)), low, high)
 
 
 def report(pairs, seed):
@@ -181,13 +186,12 @@ def report(pairs, seed):
     for pair in pairs:
         groups.setdefault(pair[0], []).append(pair)
     groups["all"] = pairs
-    lines = ["%-26s %6s %10s %10s %8s %6s  %s" % (
-        "slice", "pairs", "parent ms", "change ms", "ratio", "wins",
+    lines = ["%-26s %6s %10s %10s %8s %8s %6s  %s" % (
+        "slice", "pairs", "parent ms", "change ms", "ratio", "summed", "wins",
         "95% interval")]
     for name, group in groups.items():
-        count, parent, change, ratio, wins, low, high = summarize(group, rng)
-        lines.append("%-26s %6d %10.4f %10.4f %8.4f %6.3f  [%.4f, %.4f]" % (
-            name, count, parent, change, ratio, wins, low, high))
+        lines.append("%-26s %6d %10.4f %10.4f %8.4f %8.4f %6.3f  [%.4f, %.4f]"
+                     % ((name,) + summarize(group, rng)))
     return lines
 
 

@@ -36,6 +36,7 @@ example the parent from `git archive`) on the same workload and seed:
 
 import argparse
 import functools
+import gc
 import inspect
 import io
 import shutil
@@ -54,7 +55,11 @@ LAPACK = ("svd", "lstsq", "det")
 
 def counts(op):
     """(bytecodes, C calls, Counter of (LAPACK function, shape)) of op().
-    The caller's tracer and profiler are restored afterwards."""
+    The caller's tracer and profiler are restored afterwards.  The garbage
+    collector is off meanwhile: whether a collection falls inside op()
+    depends on what ran before it, and a collection runs the functions in
+    gc.callbacks (hypothesis installs one) and finalizers, which the count
+    would take for the op's own work."""
     codes = {inspect.unwrap(getattr(np.linalg, name)).__code__: name
              for name in LAPACK}
     lapack = Counter()
@@ -78,6 +83,8 @@ def counts(op):
             tally[1] += 1
 
     caller = sys.gettrace(), sys.getprofile()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     sys.settrace(call)
     try:
@@ -85,6 +92,8 @@ def counts(op):
     finally:
         sys.settrace(caller[0])
         sys.setprofile(caller[1])
+        if collecting:
+            gc.enable()
     return tally[0], tally[1], lapack
 
 
