@@ -476,6 +476,12 @@ class BasisSystem:
             return factor * values.take(index, axis=1)
 
 
+def is_monomial_basis(basis):
+    """True for the ordered pure-power family {1, x, ..., x^n}: member j
+    has the exponent j in the tensor plan, the constant standing as x^0."""
+    return basis._exponents == tuple(range(len(basis)))
+
+
 def make_reference_basis():
     """Return the five-function system {1, x^2, sin 3x, exp(-x), 1/(1+x^2)}.
 

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +26,7 @@ from .confluent import RootConfiguration, finite_real, positive_integers
 from .errors import (DimensionMismatch, InsufficientHistory,
                      ProblemFileError, SimrootsError)
 from .genpoly import GeneralizedPolynomial, from_roots
-from .solver import (
-    SolverSettings,
-    SolveStatus,
-    is_monomial_basis,
-    solve,
-)
+from .solver import SolverSettings, SolveStatus, _check_inputs, solve
 
 DEFAULT_SETTINGS = {"tolerance": SolverSettings.tolerance,
                     "max_iterations": SolverSettings.max_iterations}
@@ -39,15 +34,16 @@ DEFAULT_SETTINGS = {"tolerance": SolverSettings.tolerance,
 
 @dataclass
 class Problem:
-    """A checked problem file: settings is the SolverSettings every method
-    runs with, and normalized the canonical JSON document."""
+    """A checked problem file: settings maps each method to the
+    SolverSettings it runs with, and normalized is the canonical JSON
+    document."""
 
     system: basis_mod.BasisSystem
     f: GeneralizedPolynomial
     initial: list
     multiplicities: list
     methods: list
-    settings: SolverSettings
+    settings: dict
     true_roots: RootConfiguration | None
     normalized: dict
 
@@ -175,16 +171,6 @@ def load_problem(path):
         normalized_poly = {"roots": [{"x": x, "multiplicity": m}
                                      for x, m in true_roots.nodes]}
 
-    methods = doc.get("methods")
-    if not isinstance(methods, list) or not methods:
-        _fail("methods", "expected a nonempty list")
-    for m in methods:
-        _reported("methods", SolverSettings, method=m)
-    if len(set(methods)) != len(methods):
-        _fail("methods", "duplicate entries")
-    if "ehrlich" in methods and not is_monomial_basis(system):
-        _fail("methods", "'ehrlich' needs the monomial basis {1, x, ..., x^n}")
-
     settings = dict(DEFAULT_SETTINGS)
     raw_settings = doc.get("settings", {})
     if not isinstance(raw_settings, dict):
@@ -195,6 +181,16 @@ def load_problem(path):
         settings[key] = value
     checked = _reported("settings", SolverSettings, **settings)
 
+    methods = doc.get("methods")
+    if not isinstance(methods, list) or not methods:
+        _fail("methods", "expected a nonempty list")
+    runs = {}
+    for m in methods:  # each run's settings, through solve's input check
+        runs[m] = _reported("methods", SolverSettings, method=m, **settings)
+        _reported("methods", _check_inputs, f, multiplicities, runs[m])
+    if len(runs) != len(methods):
+        _fail("methods", "duplicate entries")
+
     normalized = {
         "basis": normalized_basis,
         "domain": normalized_domain,
@@ -204,8 +200,8 @@ def load_problem(path):
         "methods": list(methods),
         "settings": {key: getattr(checked, key) for key in settings},
     }
-    return Problem(system, f, initial, multiplicities, list(methods),
-                   checked, true_roots, normalized)
+    return Problem(system, f, initial, multiplicities, list(methods), runs,
+                   true_roots, normalized)
 
 
 def _fmt(value):
@@ -256,9 +252,8 @@ def _solved(problem, out):
     code: 0 when every method converged, else 2)."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = {m: solve(problem.f, problem.initial, problem.multiplicities,
-                        replace(problem.settings, method=m))
-               for m in problem.methods}
+    reports = {m: solve(problem.f, problem.initial, problem.multiplicities, s)
+               for m, s in problem.settings.items()}
     ok = all(r.status is SolveStatus.converged for r in reports.values())
     return out_dir, reports, 0 if ok else 2
 

@@ -175,12 +175,14 @@ def build_matrix(basis, cfg, probe, first_row_order):
 
 def determinant(matrix):
     """Determinant of a square array from LAPACK's partial-pivoting LU
-    (np.linalg.det).  Returns 0.0 for an exactly singular matrix; callers
-    apply their own magnitude thresholds."""
+    (np.linalg.det).  Returns 0.0 for an exactly singular matrix, and inf
+    without a warning where it overflows; callers apply their own magnitude
+    thresholds."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("determinant needs a square matrix")
-    return float(np.linalg.det(a))
+    with np.errstate(over="ignore"):
+        return float(np.linalg.det(a))
 
 
 def first_row_cofactors(basis, cfg):
@@ -201,7 +203,8 @@ def first_row_cofactors(basis, cfg):
     Raises SingularNodeSystem when B is numerically rank-deficient, which
     signals a node set violating the Haar condition: c is then an
     arbitrary direction rather than a coefficient vector.  Raises
-    OverflowError on a non-finite node block.
+    OverflowError on a non-finite node block, and where kappa is 0 or not
+    finite: det([e_k; B]) has left the float range.
     """
     block = _node_block(basis, cfg)
     scaled, row_exponents, column_exponents = _equilibrated(block)
@@ -216,7 +219,11 @@ def first_row_cofactors(basis, cfg):
     c = c - np.ldexp(step, -column_exponents)
     k = int(np.argmax(np.abs(c)))
     unit_row = np.eye(len(c))[k]
-    return determinant(np.vstack([unit_row, block])) / c[k] * c
+    kappa = determinant(np.vstack([unit_row, block])) / c[k]
+    if kappa == 0.0 or not math.isfinite(kappa):
+        raise OverflowError("kappa = det([e_%d; B]) / c_%d is %r, outside "
+                            "the float range" % (k, k, float(kappa)))
+    return kappa * c
 
 
 def _row_maxima(block):

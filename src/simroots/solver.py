@@ -65,7 +65,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import MAX_ORDER
+from .basis import MAX_ORDER, is_monomial_basis
 from .confluent import (_row_maxima, checked_index, finite_real,
                         node_null_vector, node_rows, positive_integers,
                         real_sequence)
@@ -210,17 +210,6 @@ def _check_collisions(xs):
                 raise IterateCollision(
                     "approximations %d and %d are %.3e apart (limit %.3e)"
                     % (i, j, gap, limit))
-
-
-def is_monomial_basis(basis):
-    """True for the ordered pure-power family {1, x, ..., x^n}."""
-    for j, b in enumerate(basis.functions):
-        if b.kind == "power" and b.s == j:
-            continue
-        if j == 0 and b.kind == "constant":
-            continue
-        return False
-    return True
 
 
 def _pairwise_sums(xs, mult):
@@ -419,12 +408,12 @@ def _final_state(f, xs, mult, plan=None, snapshot=None):
     if snapshot is not None and plan.paired:
         sums = [s for pair, alpha in zip(snapshot[0], alphas)
                 for s in pair[:alpha]]
-    elif snapshot is not None and snapshot[-1].shape[1] >= max(alphas):
-        sums = f.row_sums(node_rows(snapshot[-1], mult))
     else:
+        tensor = None if snapshot is None else snapshot[-1]
         try:
-            sums = f.row_sums(node_rows(f.basis.tensor(xs, max(alphas) - 1),
-                                        mult))
+            if tensor is None or tensor.shape[1] < max(alphas):
+                tensor = f.basis.tensor(xs, max(alphas) - 1)
+            sums = f.row_sums(node_rows(tensor, mult))
         except (DomainError, OverflowError):
             sums = []
             for x, alpha in zip(xs, alphas):

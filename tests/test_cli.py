@@ -1,7 +1,9 @@
 """Batch front end: problem files, CSV tables, comparisons, exit codes."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,29 @@ REFERENCE_PROBLEM = {
     "multiplicities": [2, 2],
     "methods": ["method3", "method13"],
     "settings": {"tolerance": 1e-11, "max_iterations": 50},
+}
+
+# {1, x, ..., x^29} with a 28-fold root at 0: from_roots' kappa =
+# det([e_k; B]) overflows
+KAPPA_OVERFLOW = {
+    "basis": [{"kind": "constant"}] + [{"kind": "power", "s": s}
+                                      for s in range(1, 30)],
+    "polynomial": {"roots": [{"x": 0, "multiplicity": 28},
+                             {"x": 0.5, "multiplicity": 1}]},
+    "initial": [0.01, 0.6],
+    "multiplicities": [28, 1],
+    "methods": ["method3"],
+}
+
+# {1, x, ..., x^101} by coefficients with multiplicities (100, 1): method3
+# reads derivatives of order 101, above basis.MAX_ORDER
+ORDER_ABOVE_MAX = {
+    "basis": [{"kind": "constant"}] + [{"kind": "power", "s": s}
+                                      for s in range(1, 102)],
+    "polynomial": {"coefficients": [1] + [0] * 100 + [1]},
+    "initial": [0.01, 0.6],
+    "multiplicities": [100, 1],
+    "methods": ["method3"],
 }
 
 METHOD3_CELLS = (
@@ -507,8 +532,9 @@ def test_load_problem_returns_the_parsed_pieces(tmp_path):
     assert problem.methods == ["method3", "method13"]
     assert problem.true_roots.nodes == ((-0.5, 2), (3.0, 2))
     assert len(problem.system) == 5
-    assert problem.settings == SolverSettings(tolerance=1e-11,
-                                              max_iterations=50)
+    assert problem.settings == {
+        m: SolverSettings(m, tolerance=1e-11, max_iterations=50)
+        for m in ("method3", "method13")}
 
 
 def test_module_entry_point(tmp_path):
@@ -524,3 +550,69 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "valid" in result.stdout
+
+
+@pytest.mark.parametrize("doc, message", [
+    (KAPPA_OVERFLOW, "field 'polynomial': kappa = det([e_29; B]) / c_29 is "),
+    (ORDER_ABOVE_MAX, "field 'methods': method3 needs derivatives of order "
+                      "101 but the basis caps them at 100"),
+], ids=["kappa", "order"])
+def test_validate_only_and_run_refuse_the_same_files(doc, message, tmp_path,
+                                                     capsys):
+    problem = _write_problem(tmp_path, doc)
+    for flags in (["--validate-only"], ["--out", str(tmp_path / "out")]):
+        assert main(["run", str(problem)] + flags) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + message), err
+
+
+FUZZ_DOCUMENTS = 1200
+
+# what a fuzzed field of a problem file becomes
+FUZZ_VALUES = [
+    None, True, False, 0, 1, -1, 2, 2.5, -0.5, 3, 1e308, -1e308, 10 ** 400,
+    "", "x", "2", "method3", "ehrlich", "power", [], [None], [1, 2], [2, 2],
+    [-0.4, 2.8], [[1]], {}, {"kind": "power", "s": 3},
+    {"kind": "expr", "tree": "x*x"}, {"kind": "sine"}, {"kind": ["power"]},
+    {"x": 3, "multiplicity": 2}, {"tolerance": 0},
+]
+
+
+def _fuzzed(rng, doc):
+    """doc with one or two fields, each at a random depth, set to one of
+    FUZZ_VALUES."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.choice((1, 2))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (
+                parent is None or rng.random() < 0.6):
+            key = (rng.choice(sorted(node)) if isinstance(node, dict)
+                   else rng.randrange(len(node)))
+            parent, node = node, node[key]
+        if parent is not None:
+            parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return doc
+
+
+def test_fuzzed_problem_files_end_in_an_exit_code(tmp_path, capsys):
+    # a seeded mutator over the demo problem, after the files above: every
+    # document exits 0, 1 or 2 without a traceback, --validate-only refuses
+    # what run refuses, a refusal is one stderr line, and a normalized dump
+    # loads to the same dump
+    rng = random.Random(1)
+    docs = [KAPPA_OVERFLOW, ORDER_ABOVE_MAX, REFERENCE_PROBLEM] + [
+        _fuzzed(rng, REFERENCE_PROBLEM) for _ in range(FUZZ_DOCUMENTS)]
+    for doc in docs:
+        problem = _write_problem(tmp_path, doc)
+        codes = []
+        for flags in (["--validate-only"], ["--out", str(tmp_path / "out")],
+                      ["--dump-normalized"]):
+            codes.append(main(["run", str(problem)] + flags))
+            out, err = capsys.readouterr()
+            assert err.count("\n") <= (codes[-1] == 1), (doc, err)
+        assert codes[1] in (0, 1, 2), doc
+        assert (codes[0], codes[2]) == ((1, 1) if codes[1] == 1 else (0, 0))
+        if codes[2] == 0:
+            dumped = _write_problem(tmp_path, json.loads(out), "dump.json")
+            assert main(["run", str(dumped), "--dump-normalized"]) == 0
+            assert capsys.readouterr().out == out, doc

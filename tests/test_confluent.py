@@ -29,6 +29,7 @@ from simroots import (
     sine,
     solve,
 )
+from simroots import confluent
 from simroots.confluent import _node_block, node_null_vector
 
 
@@ -136,6 +137,27 @@ def test_determinant_merged_vandermonde():
 def test_determinant_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         determinant(np.ones((2, 3)))
+
+
+def test_determinant_overflows_to_inf_without_a_warning():
+    # the test suite turns warnings into errors
+    assert determinant(np.diag([1e200, -1e200])) == -np.inf
+
+
+def test_a_kappa_outside_the_float_range_is_refused(monkeypatch):
+    # {1, x, ..., x^29} with a 28-fold root at 0: det([e_k; B]) overflows
+    with pytest.raises(OverflowError, match=(
+            r"^kappa = det\(\[e_29; B\]\) / c_29 is -inf, outside the "
+            r"float range$")):
+        from_roots(_monomials(30), RootConfiguration(((0.0, 28), (0.5, 1))))
+    # one order less still builds, near the top of the float range
+    f = from_roots(_monomials(29), RootConfiguration(((0.0, 27), (0.5, 1))))
+    assert f.construction_scale == pytest.approx(5.471e286, rel=1e-3)
+    # a determinant that underflows to 0 is refused alike
+    monkeypatch.setattr(confluent, "determinant", lambda matrix: 0.0)
+    with pytest.raises(OverflowError, match=r"is -?0\.0, outside"):
+        first_row_cofactors(_monomials(3),
+                            RootConfiguration(((1.0, 1), (2.0, 1))))
 
 
 def test_q_value_example():

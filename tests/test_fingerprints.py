@@ -4,7 +4,6 @@ method of a CLI run apart."""
 
 import contextlib
 import io
-from dataclasses import replace
 from pathlib import Path
 
 from simroots import DomainError, SolverSettings, cli, from_roots, solve
@@ -132,7 +131,7 @@ def test_a_cli_run_reads_each_method_s_status_from_its_printed_lines(
         code = cli.main(["run", str(DEMO), "--out", str(tmp_path)])
     problem = cli.load_problem(DEMO)
     reports = [solve(problem.f, problem.initial, problem.multiplicities,
-                     replace(problem.settings, method=method))
+                     problem.settings[method])
                for method in problem.methods]
     assert _verdict(code, printed.getvalue()) == tuple(
         ",".join("%s=%s" % pair for pair in zip(problem.methods, column))

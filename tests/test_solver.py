@@ -12,13 +12,13 @@ import sys
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import simroots
 from simroots import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -39,8 +39,8 @@ from simroots import (
     solve,
 )
 from simroots import cli, solver
-from simroots.basis import (MAX_ORDER, BasisSystem, constant, cosine,
-                            exponential, expression, power, sine)
+from simroots.basis import (MAX_ORDER, BasisFunction, BasisSystem, constant,
+                            cosine, exponential, expression, power, sine)
 from simroots.confluent import (_node_block, node_null_vector, node_rows,
                                 positive_integers)
 from simroots.solver import METHODS, _step
@@ -263,11 +263,33 @@ def test_shortcut_matches_determinant_ratio():
         assert _pairwise_sums(state)[i] == pytest.approx(ratio, rel=1e-9)
 
 
+def _each_member_is_x_to_its_index(basis):
+    # the per-member rule is_monomial_basis once walked, as a reference
+    return all((b.kind == "power" and b.s == j)
+               or (j == 0 and b.kind == "constant")
+               for j, b in enumerate(basis.functions))
+
+
 def test_is_monomial_basis():
     assert is_monomial_basis(_monomials(5))
     assert not is_monomial_basis(make_reference_basis())
     shuffled = BasisSystem((power(1), constant(), power(2)))
     assert not is_monomial_basis(shuffled)
+    cases = {
+        # a hand-built power with an integral float exponent
+        (constant(), power(1), BasisFunction("power", s=2.0)): True,
+        # the constant is x^0, at index 0 only
+        (power(0), constant()): False,
+        (power(0), power(1), power(2)): True,
+        (constant(), power(1), power(3)): False,
+        (constant(), power(1), expression("x^2")): False,
+        (constant(), sine(1.0)): False,
+    }
+    for members, expected in cases.items():
+        system = BasisSystem(members)
+        assert is_monomial_basis(system) is expected, members
+        assert _each_member_is_x_to_its_index(system) is expected, members
+    assert simroots.is_monomial_basis is simroots.basis.is_monomial_basis
 
 
 def test_ehrlich_on_quadratic():
@@ -1103,7 +1125,7 @@ def _seeded_solves(name, monkeypatch, tmp_path):
             for method in loaded.methods:
                 yield (slice_.name, loaded.f, loaded.initial,
                        loaded.multiplicities,
-                       replace(loaded.settings, method=method))
+                       loaded.settings[method])
         else:
             yield (slice_.name, problem.f, problem.initial,
                    problem.multiplicities, slice_.settings)
